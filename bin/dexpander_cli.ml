@@ -7,7 +7,7 @@
      ldd         run the low-diameter decomposition (Theorem 4)
      triangles   enumerate triangles via expander decomposition (Theorem 2)
      faults      reliable BFS/leader election on a lossy network
-     throughput  kernel executors head-to-head on a BFS flood
+     throughput  kernel round throughput on a BFS flood
 
    Graphs are generated on demand: --family gnp/sbm/barbell/dumbbell/
    grid/powerlaw/regular/cliques/tree/cycle/path, with family-specific
@@ -274,42 +274,13 @@ let faults_cmd =
       $ degree_t $ drop_t $ dup_t $ fault_seed_t $ retries_t)
 
 let throughput_cmd =
-  let domains_t =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"K"
-          ~doc:"Domain count for the parallel executor rows.")
-  in
-  let run family file n seed p parts p_in p_out degree domains =
+  let run family file n seed p parts p_in p_out degree =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
-    let truth = X.Metrics.bfs_distances g 0 in
-    (* the same BFS flood in both kernel encodings: messages carry the
-       sender's depth, receivers adopt depth+1 and re-flood on
-       improvement *)
-    let flood_list net =
-      let unreached = (max_int lsr 2) lsl 1 in
-      let states, rounds =
-        X.Network.run net ~label:"throughput"
-          ~init:(fun v -> if v = 0 then 1 else unreached)
-          ~step:(fun ~round:_ ~vertex:v st inbox ->
-            let v = X.Vertex.local_int v in
-            let d = st lsr 1 in
-            let best =
-              List.fold_left (fun acc (_, m) -> min acc (m.(0) + 1)) d inbox
-            in
-            if best < d || st land 1 = 1 then begin
-              let out = ref [] in
-              X.Graph.iter_neighbors g v (fun u -> out := (u, [| best |]) :: !out);
-              (best lsl 1, !out)
-            end
-            else (st, []))
-          ~finished:(fun states -> not (Array.exists (fun s -> s land 1 = 1) states))
-          ()
-      in
-      (Array.map (fun s -> s lsr 1) states, rounds)
-    in
-    let flood_cursor net =
+    (* a BFS flood: messages carry the sender's depth, receivers adopt
+       depth+1 and re-flood on improvement *)
+    let net = X.Network.create g (X.Rounds.create ()) in
+    let flood () =
       X.Network.run_active net ~label:"throughput"
         ~init:(fun v -> if v = 0 then 0 else max_int lsr 2)
         ~step:(fun ~round ~vertex:v d ib ob ->
@@ -322,39 +293,26 @@ let throughput_cmd =
           !best)
         ()
     in
-    let base = ref 0.0 in
-    List.iter
-      (fun (name, executor, api) ->
-        let net = X.Network.create ~executor g (X.Rounds.create ()) in
-        let runner () =
-          match api with `List -> flood_list net | `Cursor -> flood_cursor net
-        in
-        let depths, _ = runner () in
-        if depths <> truth then failwith (name ^ ": wrong BFS result");
-        let t0 = X.Clock.now_ns () in
-        let _, rounds = runner () in
-        let t1 = X.Clock.now_ns () in
-        let secs = float_of_int (t1 - t0) /. 1e9 in
-        let rps = float_of_int rounds /. secs in
-        if !base = 0.0 then base := rps;
-        Printf.printf "%-22s rounds=%-6d ms=%-10.2f rounds/s=%-10.0f speedup=%.1fx\n"
-          name rounds (secs *. 1e3) rps (rps /. !base))
-      [ ("legacy/list (seed)", X.Network.Legacy, `List);
-        ("staged/list", X.Network.Staged, `List);
-        ("staged/cursor", X.Network.Staged, `Cursor);
-        (Printf.sprintf "parallel-%d/cursor" domains, X.Network.Parallel domains,
-         `Cursor) ]
+    (* the first run builds the arena and checks the answer *)
+    let depths, _ = flood () in
+    if depths <> X.Metrics.bfs_distances g 0 then failwith "throughput: wrong BFS result";
+    let m0 = X.Network.messages_sent net in
+    let t0 = X.Clock.now_ns () in
+    let _, rounds = flood () in
+    let t1 = X.Clock.now_ns () in
+    let secs = float_of_int (t1 - t0) /. 1e9 in
+    Printf.printf "bfs flood: rounds=%d msgs=%d ms=%.2f rounds/s=%.0f\n" rounds
+      (X.Network.messages_sent net - m0) (secs *. 1e3) (float_of_int rounds /. secs)
   in
   Cmd.v
     (Cmd.info "throughput"
        ~doc:
-         "Race the kernel executors (legacy list, staged list, arena cursor, \
-          Domain-parallel cursor) on a BFS flood over the chosen graph. Try \
-          $(b,--family cycle -n 10000), the frontier-bound worst case for \
-          the list executors.")
+         "Time the kernel's round loop on a BFS flood over the chosen graph. Try \
+          $(b,--family cycle -n 10000), where only 2 vertices are active per \
+          round.")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ domains_t)
+      $ degree_t)
 
 let trace_cmd =
   let algo_t =

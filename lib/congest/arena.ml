@@ -49,6 +49,8 @@ type t = {
   mutable next : int array; (* next round's worklist, being built *)
   mutable next_n : int;
   mutable tick : int; (* monotonic round counter; never reset *)
+  mutable round : int; (* the run's current round, from 1 *)
+  mutable timers : int Dex_util.Heap.t; (* pending timed wakes: (round, vertex) *)
 }
 
 let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
@@ -87,7 +89,9 @@ let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
     work_n = 0;
     next = Array.make n 0;
     next_n = 0;
-    tick = 1 }
+    tick = 1;
+    round = 0;
+    timers = Dex_util.Heap.create () }
 
 let word_size a = a.word_size
 let slot_count a = Array.length a.nbr
@@ -100,6 +104,9 @@ let rank_slot a v u =
     if a.nbr.(mid) < u then lo := mid + 1 else hi := mid
   done;
   if !lo < a.off.(v + 1) && a.nbr.(!lo) = u then !lo else -1
+
+let next_timer a =
+  match Dex_util.Heap.peek a.timers with Some (r, _) -> int_of_float r | None -> max_int
 
 (* ---------------- cursors ---------------- *)
 
@@ -155,16 +162,6 @@ module Inbox = struct
         if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src msg
       end
     done
-
-  let to_list ib =
-    (* legacy inbox ordering: senders descending, a duplicated message
-       appearing twice in adjacent positions sharing one array — the
-       exact list [Network]'s list-based executors would have built *)
-    let acc = ref [] in
-    iter ib (fun src msg ->
-        (* dex-lint: allow C002 relays messages the arena validated against the budget at send *)
-        acc := (src, msg) :: !acc);
-    !acc
 end
 
 module Outbox = struct
@@ -174,7 +171,9 @@ module Outbox = struct
       (Congestion_violation
          (Printf.sprintf "vertex %d: %d is not a neighbor" (a.to_orig v) u_disp))
 
-  let stage ob u words write =
+  (* validate and claim the slot for a [words]-word message to [u];
+     returns where its payload goes in [out_data] *)
+  let stage ob u words =
     let a = ob.oa in
     let v = ob.ov in
     if words > a.word_size then
@@ -191,18 +190,25 @@ module Outbox = struct
               (a.to_orig v) (a.to_orig u)));
     a.enq.(s) <- a.tick;
     a.out_len.(s) <- words;
-    write a.out_data (s * a.word_size)
+    s * a.word_size
 
-  let send1 ob ~dst w =
-    stage ob (Vertex.local_int dst) 1 (fun data pos -> data.(pos) <- w)
+  let send1 ob ~dst w = ob.oa.out_data.(stage ob (Vertex.local_int dst) 1) <- w
 
   let send ob ~dst msg =
-    stage ob (Vertex.local_int dst) (Array.length msg) (fun data pos ->
-        Array.blit msg 0 data pos (Array.length msg))
+    let len = Array.length msg in
+    Array.blit msg 0 ob.oa.out_data (stage ob (Vertex.local_int dst) len) len
 
   let wake ob =
     let a = ob.oa in
     a.wake.(ob.ov) <- a.tick
+
+  let wake_at ob ~round =
+    let a = ob.oa in
+    if round <= a.round then
+      Dex_util.Invariant.failf ~where:"Arena.Outbox.wake_at"
+        "round %d is not after the current round %d" round a.round;
+    if round = a.round + 1 then wake ob
+    else Dex_util.Heap.push a.timers (float_of_int round) ob.ov
 end
 
 (* ---------------- active set ---------------- *)
@@ -239,12 +245,15 @@ let begin_run a =
   (* a fresh tick retires whatever a previous (possibly aborted) run
      left stamped: staleness is impossible because ticks are monotone *)
   a.tick <- a.tick + 1;
+  a.round <- 1;
+  a.timers <- Dex_util.Heap.create ();
   for v = 0 to a.n - 1 do
     a.work.(v) <- v
   done;
   a.work_n <- a.n;
   a.next_n <- 0
 
+let round a = a.round
 let active_count a = a.work_n
 let active_get a i = a.work.(i)
 let woke a v = a.wake.(v) = a.tick
@@ -258,7 +267,10 @@ let push_active a v =
 
 let deliver_staged a src verdict =
   let t = a.tick in
-  for s = a.off.(src) to a.off.(src + 1) - 1 do
+  (* descending destination order: the fault traces recorded in the
+     kernel goldens (test/golden/kernel_legacy.json) list each
+     source's events in this order *)
+  for s = a.off.(src + 1) - 1 downto a.off.(src) do
     if a.enq.(s) = t then begin
       let dst = a.nbr.(s) in
       let len = a.out_len.(s) in
@@ -275,14 +287,37 @@ let deliver_staged a src verdict =
     end
   done
 
-let finish_round a =
-  a.tick <- a.tick + 1;
+(* timers due at [round] join the worklist being built *)
+let fire_timers a ~round =
+  while next_timer a = round do
+    Option.iter (fun (_, v) -> push_active a v) (Dex_util.Heap.pop a.timers)
+  done
+
+(* make the worklist being built current, sorted ascending *)
+let swap_worklists a =
   let w = a.work in
   a.work <- a.next;
   a.next <- w;
   a.work_n <- a.next_n;
   a.next_n <- 0;
   (* deliveries appended the next worklist in (src, slot) order, not
-     vertex order; canonical ascending order keeps every executor's
+     vertex order; canonical ascending order keeps every run's
      activation sequence identical *)
   sort_prefix a.work a.work_n
+
+(* move on to [round]: its timers join the worklist being built, which
+   becomes current; the fresh tick retires this round's slots and
+   stamps, [listed] included, so the new round can push anyone *)
+let advance a ~round =
+  fire_timers a ~round;
+  swap_worklists a;
+  a.tick <- a.tick + 1;
+  a.round <- round
+
+let finish_round a = advance a ~round:(a.round + 1)
+
+let skip_idle a =
+  Dex_util.Invariant.require (a.work_n = 0) ~where:"Arena.skip_idle"
+    "the worklist must be empty";
+  let r = next_timer a in
+  if r < max_int then advance a ~round:r

@@ -40,9 +40,16 @@ let describe = function
     Printf.sprintf "round counts diverge under permuted schedule (%d vs %d)" rounds_canonical
       rounds_permuted
 
+type 's step =
+  round:int ->
+  vertex:Dex_graph.Vertex.local ->
+  's ->
+  (int * Network.message) list ->
+  's * (int * Network.message) list
+
 type 's protocol = {
   init : int -> 's;
-  step : 's Network.step;
+  step : 's step;
   finished : 's array -> bool;
 }
 
@@ -67,9 +74,9 @@ type 's run_result = {
   messages : int;
 }
 
-(* One full execution of [p] with the same delivery semantics as
-   [Network.run] (synchronous rounds, quiescence = finished AND no
-   message in flight), but under an explicit schedule: [Canonical]
+(* One full execution of [p] in plain synchronous rounds — every
+   vertex stepped every round, quiescence = finished AND no message in
+   flight — independently of the kernel, under an explicit schedule: [Canonical]
    activates vertices in id order and delivers each inbox sorted by
    sender; [Permuted] draws a fresh activation permutation and inbox
    shuffle from [rng] every round. A conformant protocol cannot

@@ -53,12 +53,24 @@ type violation =
 (** One-line human rendering of a violation. *)
 val describe : violation -> string
 
-(** A protocol restated as pure data against the same [step] signature
-    as {!Network.run}; [finished] is the quiescence predicate (the
-    engine also waits for in-flight messages, like [Network.run]). *)
+(** Per-round behaviour of one vertex in list form: receives the round
+    number (from 1), the vertex id, its state and its inbox
+    [(sender, message) list]; returns the new state and the outbox
+    [(neighbor, message) list]. The engine steps every vertex every
+    round — it is the kernel-independent reference, so it shares no
+    code with {!Network}'s round loop. *)
+type 's step =
+  round:int ->
+  vertex:Dex_graph.Vertex.local ->
+  's ->
+  (int * Network.message) list ->
+  's * (int * Network.message) list
+
+(** A protocol restated as pure data; [finished] is the quiescence
+    predicate (the engine also waits for in-flight messages). *)
 type 's protocol = {
   init : int -> 's;
-  step : 's Network.step;
+  step : 's step;
   finished : 's array -> bool;
 }
 
@@ -75,8 +87,8 @@ val ok : report -> bool
 
 (** [default_digest s] is the structural digest {!check} uses when no
     [?digest] is supplied ([Hashtbl.hash_param 256 256]). Exported so
-    the cross-executor equivalence suite can hash per-round state
-    arrays with the exact same function the conformance engine uses. *)
+    the kernel's golden suite can hash per-round state arrays with the
+    exact same function the conformance engine uses. *)
 val default_digest : 's -> int
 
 (** [check ?word_size ?max_rounds ?seed ?digest g ~protocol ()] replays

@@ -76,10 +76,10 @@ val set_observer : t -> (fault -> unit) option -> unit
 val crashed : t -> round:int -> vertex:Dex_graph.Vertex.local -> bool
 
 (** [is_crashed t ~round ~vertex] is {!crashed} without the recording
-    side effect: a pure read of the crash schedule. Safe to call
-    concurrently from parallel step execution; the kernel's sequential
-    delivery phase performs the recording {!crashed} calls so the
-    event trace keeps the legacy order. *)
+    side effect: a pure read of the crash schedule. The kernel's step
+    phase and protocols (to look one round ahead) use it; the kernel's
+    delivery phase performs the recording {!crashed} calls, so crash
+    events land in canonical vertex order. *)
 val is_crashed : t -> round:int -> vertex:Dex_graph.Vertex.local -> bool
 
 (** [verdict t ~round ~src ~dst] decides the fate of the message sent

@@ -33,37 +33,21 @@
     skips all of this — tracing off costs one pointer test per round. *)
 
 (** Same exception as {!Arena.Congestion_violation} (re-exported):
-    handlers written against either name catch violations raised by
-    any executor, list-based or cursor-based. *)
+    handlers written against either name catch every violation. *)
 exception Congestion_violation of string
 
-(** How rounds are executed. All three are observationally identical
-    on the list API (states, round counts, message/word ledgers, fault
-    traces, conformance digests) — the equivalence suite in
-    [test_kernel_equiv.ml] asserts this.
-
-    - [Legacy]: the seed kernel — interleaved step + delivery, one
-      pass over all vertices per round.
-    - [Staged]: two-phase rounds (step everything, then deliver in
-      canonical order) with reusable validation scratch; the basis
-      for the arena-backed cursor driver {!run_active}.
-    - [Parallel k]: [Staged] with Phase A sharded across [k] OCaml
-      domains ([k] total, including the caller's). Phase B stays
-      sequential, which is where all shared mutation lives. *)
+(** Kept for source compatibility: the kernel has one driver, and
+    {!executor} always reports [Staged]. [Legacy] and [Parallel _] are
+    never produced. *)
 type executor = Legacy | Staged | Parallel of int
-
-(** [set_default_executor e] sets the executor used by every
-    subsequently created network that does not pass [?executor].
-    Initial default: [Staged]. *)
-val set_default_executor : executor -> unit
 
 (** Final states of a protocol that hit its round limit, with the
     element type hidden (protocol state types differ per caller). *)
 type packed_states = Packed : 'a array -> packed_states
 
-(** Raised by {!run} when [max_rounds] is exhausted before the
-    [finished] predicate holds. The executed rounds have already been
-    charged to the ledger when this is raised. *)
+(** Raised by {!run_active} when [max_rounds] pass without
+    quiescence. The elapsed rounds have already been charged to the
+    ledger when this is raised. *)
 exception
   Round_limit_exceeded of {
     label : string;
@@ -81,27 +65,16 @@ type t
     ids to original-graph ids for trace and error reporting (it must
     have exactly one entry per vertex); {!Primitives.subnetwork}
     threads it automatically. The trace handle, if any, is read from
-    the ledger at creation time — attach it first. [executor] defaults
-    to the process-global setting ({!set_default_executor}).
-
-    [shard_min] (default 512) is the smallest per-round stepped-vertex
-    count the [Parallel] executor will spawn domains for; narrower
-    rounds run Phase A sequentially, since a domain spawn costs far
-    more than stepping a handful of vertices. The choice only affects
-    wall-clock time, never results — the equivalence suite pins
-    [shard_min] to 0 so the sharded path is exercised even on small
-    test graphs. *)
+    the ledger at creation time — attach it first. *)
 val create :
   ?word_size:int ->
   ?faults:Faults.t ->
   ?vertex_map:Dex_graph.Vertex.Map.t ->
-  ?executor:executor ->
-  ?shard_min:int ->
   Dex_graph.Graph.t ->
   Rounds.t ->
   t
 
-(** [executor t] is the executor this network runs on. *)
+(** [executor t] is always [Staged]. *)
 val executor : t -> executor
 
 (** [graph t] is the underlying communication graph. *)
@@ -135,59 +108,23 @@ val top_edges : t -> int -> ((int * int) * int) list
 (** A message is an int array of at most [word_size] words. *)
 type message = int array
 
+(** {1 Running a protocol}
+
+    Inboxes and outboxes are {!Arena} cursors over preallocated
+    per-edge slots, and only {e active} vertices are stepped: in round
+    1 every vertex, afterwards those with a non-empty inbox, an
+    [Arena.Outbox.wake] from the previous round or an
+    [Arena.Outbox.wake_at] timer due this round. When nothing is active
+    and no message is in flight, the driver jumps straight to the next
+    timer: the skipped rounds elapse and are charged, but execute
+    nothing and emit no round tick. *)
+
 (** Per-round behaviour of one vertex. Receives the current round
     number (starting at 1), the vertex id (phantom-typed: it lives in
     {e this} network's coordinate space — see {!Dex_graph.Vertex}), its
-    state and its inbox [(sender, message) list]; returns the new state
-    and the outbox [(neighbor, message) list]. *)
-type 's step =
-  round:int ->
-  vertex:Dex_graph.Vertex.local ->
-  's ->
-  (int * message) list ->
-  's * (int * message) list
-
-(** [run t ~label ~init ~step ~finished ?max_rounds ?on_round ()]
-    executes the protocol synchronously until [finished state_array]
-    holds at a round boundary with no message still in flight, or
-    [max_rounds] (default 1_000_000) is exhausted — raising
-    {!Round_limit_exceeded} in the latter case, after charging the
-    partial rounds to the ledger. Returns the final states and the
-    number of rounds executed; the rounds are also charged to the
-    ledger under [label]. [on_round] is called after every executed
-    round with the round number and the (mutable) state array — the
-    equivalence suite uses it to digest per-round states. *)
-val run :
-  t ->
-  label:string ->
-  init:(int -> 's) ->
-  step:'s step ->
-  finished:('s array -> bool) ->
-  ?max_rounds:int ->
-  ?on_round:(int -> 's array -> unit) ->
-  unit ->
-  's array * int
-
-(** [run_rounds t ~label ~init ~step n] runs exactly [n] rounds. *)
-val run_rounds :
-  t ->
-  label:string ->
-  init:(int -> 's) ->
-  step:'s step ->
-  ?on_round:(int -> 's array -> unit) ->
-  int ->
-  's array
-
-(** {1 Cursor API}
-
-    The zero-allocation face of the kernel: inboxes and outboxes are
-    {!Arena} cursors over preallocated per-edge slots instead of
-    lists, and only {e active} vertices — those with a non-empty inbox
-    or an explicit [Arena.Outbox.wake] — are stepped each round. *)
-
-(** Per-round behaviour of one vertex, cursor form. Read the inbox
-    with [Arena.Inbox.iter1]/[iter], send with [Arena.Outbox.send1]/
-    [send]; the cursors are only valid for the duration of the call. *)
+    state and its cursors; returns the new state. Read the inbox with
+    [Arena.Inbox.iter1]/[iter], send with [Arena.Outbox.send1]/[send];
+    the cursors are only valid for the duration of the call. *)
 type 's active_step =
   round:int ->
   vertex:Dex_graph.Vertex.local ->
@@ -196,19 +133,17 @@ type 's active_step =
   Arena.outbox ->
   's
 
-(** [run_active t ~label ~init ~step ?max_rounds ?on_round ()] drives
-    an {!active_step} protocol to quiescence: round 1 steps every
-    vertex; afterwards only vertices that received a message or woke
-    themselves are stepped, and the protocol terminates when the
-    active set empties — so termination costs O(active), not O(n),
-    and a protocol that needs stepping without traffic must [wake].
-    Rounds are charged as in {!run}; {!Round_limit_exceeded} is raised
-    when [max_rounds] (default 1_000_000) is exhausted before
-    quiescence. The arena is built lazily on first use and reused
-    across runs on the same network; under [Parallel k] the active
-    set is sharded across [k] domains with delivery merged in
-    canonical edge order, so results and traces are bit-identical to
-    the sequential executors. *)
+(** [run_active t ~label ~init ~step ?max_rounds ?on_round ()] runs
+    the protocol to quiescence — no active vertex, no message in
+    flight, no pending timer — and returns the final states and the
+    rounds elapsed, which are also charged to the ledger under
+    [label]. Termination costs O(active), not O(n); a protocol that
+    needs stepping without traffic must wake itself.
+    {!Round_limit_exceeded} is raised, after charging [max_rounds]
+    (default 1_000_000), when round [max_rounds] passes without
+    quiescence. [on_round] is called after every executed round with
+    the round number and the (mutable) state array. The arena is built
+    lazily on first use and reused across runs on the same network. *)
 val run_active :
   t ->
   label:string ->
@@ -218,6 +153,19 @@ val run_active :
   ?on_round:(int -> 's array -> unit) ->
   unit ->
   's array * int
+
+(** [run_for t ~label ~init ~step ?on_round horizon] runs exactly
+    [horizon] rounds and charges them all, whether or not the protocol
+    goes quiet earlier. Messages sent in round [horizon] are delivered
+    and counted but never read; timers past the horizon never fire. *)
+val run_for :
+  t ->
+  label:string ->
+  init:(int -> 's) ->
+  step:'s active_step ->
+  ?on_round:(int -> 's array -> unit) ->
+  int ->
+  's array
 
 (** [charge t ~label k] charges [k] rounds for an accounted (not
     message-level executed) protocol phase. *)

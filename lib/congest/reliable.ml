@@ -58,13 +58,14 @@ let peer_of st sender =
 
 (* Reliable monotone flooding: each vertex holds a value improving via
    min; adopting a better candidate (received value + delta) re-arms
-   delivery of the new value to every neighbor. Quiescence = every
-   live vertex has no outstanding value and no pending ack. *)
+   delivery of the new value to every neighbor. A vertex with a value
+   still to deliver wakes itself to retransmit next round, unless it
+   crashes then, so quiescence = every live vertex has no outstanding
+   value. *)
 let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_rounds () =
   Invariant.require (config.max_retries >= 1) ~where:"Reliable" "max_retries must be >= 1";
   let g = Network.graph net in
   let failure = ref None in
-  let cur_round = ref 0 in
   let init v =
     let value = init_value v in
     let peers =
@@ -79,12 +80,20 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
     in
     { value; parent = init_parent v; peers }
   in
-  let step ~round ~vertex:v st inbox =
-    let v = Dex_graph.Vertex.local_int v in
-    cur_round := round;
+  let crashes_next_round ~round v =
+    match Network.faults net with
+    | None -> false
+    | Some f -> Faults.is_crashed f ~round:(round + 1) ~vertex:v
+  in
+  let step ~round ~vertex st ib ob =
+    let v = Dex_graph.Vertex.local_int vertex in
+    (* descending sender order: the first of several equal candidates
+       to arrive becomes the parent *)
+    let inbox = ref [] in
+    Arena.Inbox.iter1 ib (fun sender w -> inbox := (sender, w) :: !inbox);
     List.iter
-      (fun (sender, (msg : Network.message)) ->
-        let data, ack = decode msg.(0) in
+      (fun (sender, w) ->
+        let data, ack = decode w in
         let peer = peer_of st sender in
         (match data with
         | Some x ->
@@ -108,8 +117,8 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
             peer.attempts <- 0
           end
         | None -> ())
-      inbox;
-    let outbox = ref [] in
+      !inbox;
+    let pending = ref false in
     Array.iter
       (fun p ->
         let data =
@@ -125,6 +134,7 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
             end
             else begin
               p.attempts <- p.attempts + 1;
+              pending := true;
               Some p.outstanding
             end
           else None
@@ -132,25 +142,12 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
         let ack = if p.ack_due >= 0 then Some p.ack_due else None in
         p.ack_due <- -1;
         if data <> None || ack <> None then
-          outbox := (p.nbr, [| encode ~data ~ack |]) :: !outbox)
+          Arena.Outbox.send1 ob ~dst:(Dex_graph.Vertex.local p.nbr) (encode ~data ~ack))
       st.peers;
-    (st, !outbox)
+    if !pending && not (crashes_next_round ~round vertex) then Arena.Outbox.wake ob;
+    st
   in
-  let live v =
-    match Network.faults net with
-    | None -> true
-    | Some f ->
-      not (Faults.crashed f ~round:(!cur_round + 1) ~vertex:(Dex_graph.Vertex.local v))
-  in
-  let finished states =
-    let quiet st =
-      Array.for_all (fun p -> (p.outstanding < 0 || p.abandoned) && p.ack_due < 0) st.peers
-    in
-    let ok = ref true in
-    Array.iteri (fun v st -> if live v && not (quiet st) then ok := false) states;
-    !ok
-  in
-  let states, rounds = Network.run net ~label ~init ~step ~finished ?max_rounds () in
+  let states, rounds = Network.run_active net ~label ~init ~step ?max_rounds () in
   (match !failure with
   | Some (vertex, neighbor, value, attempts) ->
     raise (Delivery_failed { label; vertex; neighbor; value; attempts })

@@ -1,5 +1,8 @@
 module Graph = Dex_graph.Graph
+module Vertex = Dex_graph.Vertex
 module Network = Dex_congest.Network
+module Arena = Dex_congest.Arena
+module Invariant = Dex_util.Invariant
 module Rng = Dex_util.Rng
 
 type t = {
@@ -16,7 +19,7 @@ type state = {
 }
 
 let run net ~beta rng =
-  if beta <= 0.0 || beta >= 1.0 then invalid_arg "Clustering.run: beta in (0,1)";
+  Invariant.require (beta > 0.0 && beta < 1.0) ~where:"Clustering.run" "beta must be in (0, 1)";
   let g = Network.graph net in
   let n = Graph.num_vertices g in
   let horizon =
@@ -29,53 +32,63 @@ let run net ~beta rng =
         max 1 (horizon - int_of_float (Float.floor delta)))
   in
   let init v = { start_epoch = starts.(v); cluster = -1; announced = false } in
-  let step ~round ~vertex:v st inbox =
-    let v = Dex_graph.Vertex.local_int v in
+  (* after round 1 a vertex does work in one round only — the first in
+     which an announcement reaches it or its start epoch comes; it
+     clusters and announces there. Until then it sleeps on a timer, so
+     idle epochs are skipped *)
+  let step ~round ~vertex st ib ob =
+    let v = Vertex.local_int vertex in
     let st =
       if st.cluster >= 0 then st
       else if st.start_epoch = round then { st with cluster = v }
-      else if st.start_epoch > round then begin
+      else begin
         (* join the smallest-id cluster among announcing neighbors *)
-        match inbox with
-        | [] -> st
-        | _ :: _ ->
-          let best =
-            List.fold_left (fun acc (_, msg) -> min acc msg.(0)) max_int inbox
-          in
-          { st with cluster = best }
+        let best = ref max_int in
+        Arena.Inbox.iter1 ib (fun _ c -> if c < !best then best := c);
+        if !best < max_int then { st with cluster = !best }
+        else begin
+          if round = 1 then Arena.Outbox.wake_at ob ~round:st.start_epoch;
+          st
+        end
       end
-      else st
     in
     if st.cluster >= 0 && not st.announced then begin
-      let outbox = ref [] in
-      Graph.iter_neighbors g v (fun u -> outbox := (u, [| st.cluster |]) :: !outbox);
-      ({ st with announced = true }, !outbox)
+      Graph.iter_neighbors g v (fun u -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) st.cluster);
+      { st with announced = true }
     end
-    else (st, [])
+    else st
   in
-  let states = Network.run_rounds net ~label:"mpx-clustering" ~init ~step horizon in
-  (* one trailing epoch so vertices whose wake-up coincided with the
-     horizon still announce is unnecessary: every vertex self-clusters
-     at its start epoch at the latest, and start epochs are <= horizon *)
+  (* every start epoch is <= horizon, so every vertex has clustered by
+     round horizon *)
+  let states = Network.run_for net ~label:"mpx-clustering" ~init ~step horizon in
   let cluster = Array.map (fun st -> st.cluster) states in
   Array.iteri
-    (fun v c -> if c < 0 then failwith (Printf.sprintf "Clustering: vertex %d unclustered" v))
+    (fun v c ->
+      if c < 0 then
+        let id =
+          match Network.vertex_map net with
+          | Some m -> Vertex.orig_int (Vertex.Map.get m v)
+          | None -> v
+        in
+        Invariant.failf ~where:"Clustering.run" "vertex %d unclustered" id)
     cluster;
   { cluster; start = starts; epochs = horizon; rounds = horizon }
 
+(* cluster ids are vertex ids, so one counting pass buckets the
+   members, each bucket in ascending vertex order; the list runs in
+   descending cluster-id order *)
 let clusters (t : t) =
-  let tbl = Hashtbl.create 64 in
+  let n = Array.length t.cluster in
+  let size = Array.make n 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) t.cluster;
+  let buckets = Array.map (fun k -> Array.make k 0) size in
+  let fill = Array.make n 0 in
   Array.iteri
     (fun v c ->
-      let members = try Hashtbl.find tbl c with Not_found -> [] in
-      Hashtbl.replace tbl c (v :: members))
+      buckets.(c).(fill.(c)) <- v;
+      fill.(c) <- fill.(c) + 1)
     t.cluster;
-  Dex_util.Table.fold_sorted
-    (fun _ members acc ->
-      let arr = Array.of_list members in
-      Array.sort compare arr;
-      arr :: acc)
-    tbl []
+  Array.fold_left (fun acc b -> if Array.length b > 0 then b :: acc else acc) [] buckets
 
 let inter_cluster_edges g (t : t) =
   let crossing = ref 0 in

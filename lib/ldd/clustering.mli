@@ -18,11 +18,15 @@ type t = {
   rounds : int; (** CONGEST rounds charged (= epochs) *)
 }
 
-(** [run net ~beta rng] executes Clustering(beta) on the network.
-    [beta] must be in (0, 1). *)
+(** [run net ~beta rng] executes Clustering(beta) on the network: a
+    vertex sleeps on a timer until its start epoch unless an
+    announcement wakes it first, so idle epochs are skipped while all
+    ⌈2·ln n/β⌉ rounds are still charged. Raises
+    [Dex_util.Invariant.Violation] unless [beta] is in (0, 1). *)
 val run : Dex_congest.Network.t -> beta:float -> Dex_util.Rng.t -> t
 
-(** [clusters t] groups vertices by cluster, each sorted. *)
+(** [clusters t] groups vertices by cluster, each sorted ascending;
+    the list runs in descending center-id order. *)
 val clusters : t -> int array list
 
 (** [inter_cluster_edges g t] counts edges whose endpoints disagree. *)

@@ -1,8 +1,9 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
+module Invariant = Dex_util.Invariant
 
 let ball_edge_count g ~d v =
-  if d < 0 then invalid_arg "Neighborhood.ball_edge_count: negative radius";
+  Invariant.require (d >= 0) ~where:"Neighborhood.ball_edge_count" "radius d >= 0";
   (* depth-bounded BFS collecting the ball, then count internal edges;
      self-loops of ball members count as edges of the ball *)
   let dist = Hashtbl.create 64 in
@@ -52,6 +53,6 @@ let all_ball_edge_counts g ~d =
   out
 
 let lemma16_rounds ~n ~d ~f =
-  if f <= 0.0 || f >= 1.0 then invalid_arg "Neighborhood.lemma16_rounds: f in (0,1)";
+  Invariant.require (f > 0.0 && f < 1.0) ~where:"Neighborhood.lemma16_rounds" "f must be in (0, 1)";
   let lf = log (Float.max 2.0 (float_of_int n)) in
   int_of_float (Float.ceil (float_of_int d *. lf *. lf /. (f ** 3.0)))

@@ -1,6 +1,7 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
 module Union_find = Dex_util.Union_find
+module Invariant = Dex_util.Invariant
 
 type t = {
   in_vd : bool array;
@@ -38,7 +39,7 @@ let labeled_bfs g sources labels ~limit =
   (dist, label)
 
 let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
-  if beta <= 0.0 || beta >= 1.0 then invalid_arg "Refine.run: beta in (0,1)";
+  Invariant.require (beta > 0.0 && beta < 1.0) ~where:"Refine.run" "beta must be in (0, 1)";
   let n = Graph.num_vertices g in
   if n = 0 then { in_vd = [||]; a = 1; b = 1; iterations = 0; rounds = 0 }
   else begin
@@ -145,9 +146,8 @@ let check g t =
     (fun comp ->
       let d = Metrics.subset_diameter g comp in
       if d > 20 * t.a * t.b then
-        failwith
-          (Printf.sprintf "Refine.check: V_D component diameter %d exceeds 20ab = %d" d
-             (20 * t.a * t.b)))
+        Invariant.failf ~where:"Refine.check" "V_D component diameter %d exceeds 20ab = %d" d
+          (20 * t.a * t.b))
     (vd_components g t);
   (* V_S density: |E(N^a(v))| ≤ |E|/b *)
   let m = Graph.num_edges g in
@@ -155,8 +155,7 @@ let check g t =
     if not t.in_vd.(v) then begin
       let c = Neighborhood.ball_edge_count g ~d:t.a v in
       if c * t.b > m then
-        failwith
-          (Printf.sprintf "Refine.check: V_S vertex %d has dense ball (%d > %d/%d)" v c m
-             t.b)
+        Invariant.failf ~where:"Refine.check" "V_S vertex %d has dense ball (%d > %d/%d)" v c
+          m t.b
     end
   done

@@ -33,5 +33,6 @@ val run : ?ka:float -> ?kb:float -> Dex_graph.Graph.t -> beta:float -> t
 (** [check g t] verifies the two output conditions (component
     separation > a would need all-pairs distances, so we verify the
     per-component diameter O(ab) bound and the V_S ball-density
-    bound); raises [Failure] on violation. For tests. *)
+    bound); raises [Dex_util.Invariant.Violation] on violation. For
+    tests. *)
 val check : Dex_graph.Graph.t -> t -> unit

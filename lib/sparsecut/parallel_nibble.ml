@@ -69,13 +69,13 @@ let run ?k ?ledger params g rng =
     let ceil_log2 x = int_of_float (Float.ceil (log (Float.max 2.0 x) /. log 2.0)) in
     let gen_rounds = depth_proxy + ceil_log2 (float_of_int (max 2 k)) in
     let select_rounds = depth_proxy * ceil_log2 (float_of_int (max 2 k)) in
-    let exec_rounds = congestion * max_copy_rounds in
-    let rounds = gen_rounds + exec_rounds + select_rounds in
+    let execute_rounds = congestion * max_copy_rounds in
+    let rounds = gen_rounds + execute_rounds + select_rounds in
     (match ledger with
     | Some l ->
       let module Rounds = Dex_congest.Rounds in
       Rounds.charge l ~label:"nibble-generate" gen_rounds;
-      Rounds.charge l ~label:"nibble-execute" exec_rounds;
+      Rounds.charge l ~label:"nibble-execute" execute_rounds;
       Rounds.charge l ~label:"nibble-select" select_rounds
     | None -> ());
     if aborted then

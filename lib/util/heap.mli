@@ -1,6 +1,6 @@
 (** Binary min-heap over [(priority, value)] pairs, with float
-    priorities. Used by Dijkstra-style sweeps and the clustering
-    start-time queue. *)
+    priorities. The CONGEST arena keeps its timed wakes in one (e.g.
+    the clustering start epochs). *)
 
 type 'a t
 

@@ -2,10 +2,10 @@
 
     The model-conformance lint (rule D003, see [tools/lint]) forbids
     [failwith], [invalid_arg] and [assert false] inside the strict
-    algorithm libraries ([lib/congest], [lib/routing], [lib/expander]):
-    an untyped [Failure]/[Invalid_argument] cannot be matched precisely
-    by callers, so retry wrappers and test harnesses end up matching on
-    message strings. Precondition failures in those libraries raise
+    algorithm libraries ([lib/congest], [lib/ldd], [lib/routing],
+    [lib/expander]): an untyped [Failure]/[Invalid_argument] cannot be
+    matched precisely by callers, so retry wrappers and test harnesses
+    end up matching on message strings. Precondition failures in those libraries raise
     {!Violation} instead — a structured exception in the style of
     [Network.Round_limit_exceeded] that carries {e where} (the
     violated function) and {e what} (the broken precondition) as

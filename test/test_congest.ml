@@ -9,6 +9,11 @@ module Vertex = Dex_graph.Vertex
 module Rounds = Dex_congest.Rounds
 module Network = Dex_congest.Network
 module Primitives = Dex_congest.Primitives
+module Arena = Dex_congest.Arena
+module Clustering = Dex_ldd.Clustering
+module Trace = Dex_obs.Trace
+module Json = Dex_obs.Json
+module Invariant = Dex_util.Invariant
 module Rng = Dex_util.Rng
 
 let fresh_net ?word_size g =
@@ -47,18 +52,20 @@ let test_rounds_ledger () =
 let test_basic_exchange () =
   let g = Gen.cycle 5 in
   let net = fresh_net g in
-  let step ~round ~vertex st inbox =
+  let step ~round ~vertex st ib ob =
     let vertex = Vertex.local_int vertex in
-    if round = 1 then
-      let out = ref [] in
-      Graph.iter_neighbors g vertex (fun u -> out := (u, [| vertex + 100 |]) :: !out);
-      (st, !out)
+    if round = 1 then begin
+      Graph.iter_neighbors g vertex (fun u ->
+          Arena.Outbox.send1 ob ~dst:(Vertex.local u) (vertex + 100));
+      st
+    end
     else begin
-      let best = List.fold_left (fun acc (_, m) -> max acc m.(0)) st inbox in
-      (best, [])
+      let best = ref st in
+      Arena.Inbox.iter1 ib (fun _ w -> best := max !best w);
+      !best
     end
   in
-  let states = Network.run_rounds net ~label:"exchange" ~init:(fun _ -> -1) ~step 2 in
+  let states = Network.run_for net ~label:"exchange" ~init:(fun _ -> -1) ~step 2 in
   Alcotest.(check int) "vertex 0 saw 104" 104 states.(0);
   Alcotest.(check int) "vertex 2 saw 103" 103 states.(2);
   Alcotest.(check int) "messages" 10 (Network.messages_sent net);
@@ -71,58 +78,46 @@ let expect_congestion f =
   | exception Network.Congestion_violation _ -> ()
   | _ -> Alcotest.fail "expected Congestion_violation"
 
+(* one round in which vertex 0 runs [send] on its outbox *)
+let one_round_from_0 net send =
+  Network.run_for net ~label:"bad"
+    ~init:(fun _ -> ())
+    ~step:(fun ~round:_ ~vertex st _ib ob ->
+      if Vertex.local_int vertex = 0 then send ob;
+      st)
+    1
+
 let test_rejects_non_neighbor () =
-  let g = Gen.path 3 in
-  let net = fresh_net g in
+  let net = fresh_net (Gen.path 3) in
   expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (2, [| 1 |]) ]) else (st, []))
-        1)
+      one_round_from_0 net (fun ob -> Arena.Outbox.send1 ob ~dst:(Vertex.local 2) 1))
 
 let test_rejects_double_send () =
-  let g = Gen.path 3 in
-  let net = fresh_net g in
+  let net = fresh_net (Gen.path 3) in
   expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (st, []))
-        1)
+      one_round_from_0 net (fun ob ->
+          Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 1;
+          Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 2))
 
 let test_rejects_oversized_message () =
-  let g = Gen.path 3 in
-  let net = fresh_net ~word_size:2 g in
+  let net = fresh_net ~word_size:2 (Gen.path 3) in
   expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1; 2; 3 |]) ]) else (st, []))
-        1)
+      one_round_from_0 net (fun ob -> Arena.Outbox.send ob ~dst:(Vertex.local 1) [| 1; 2; 3 |]))
 
 let test_rejects_self_message () =
-  let g = Graph.of_edges ~n:2 [ (0, 1); (0, 0) ] in
-  let net = fresh_net g in
+  let net = fresh_net (Graph.of_edges ~n:2 [ (0, 1); (0, 0) ]) in
   expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (0, [| 1 |]) ]) else (st, []))
-        1)
+      one_round_from_0 net (fun ob -> Arena.Outbox.send1 ob ~dst:(Vertex.local 0) 1))
 
 let test_run_timeout () =
   let g = Gen.path 3 in
   let net = fresh_net g in
   match
-    Network.run net ~label:"never"
+    Network.run_active net ~label:"never"
       ~init:(fun _ -> ())
-      ~step:(fun ~round:_ ~vertex:_ st _ -> (st, []))
-      ~finished:(fun _ -> false)
+      ~step:(fun ~round:_ ~vertex:_ st _ib ob ->
+        Arena.Outbox.wake ob;
+        st)
       ~max_rounds:10 ()
   with
   | exception Network.Round_limit_exceeded { label; max_rounds; executed; states = _ } ->
@@ -132,6 +127,109 @@ let test_run_timeout () =
     (* the partial rounds were really executed: the ledger must say so *)
     Alcotest.(check int) "partial rounds charged" 10 (Rounds.total (Network.rounds net))
   | _ -> Alcotest.fail "expected Round_limit_exceeded"
+
+(* ---------- timers, fast-forward, fixed horizons ---------- *)
+
+(* vertex 0 arms a timer for round 50 in round 1, wakes itself once
+   more when it fires, and logs every round it is stepped in; nothing
+   else ever happens *)
+let sleeper_run () =
+  let ledger = Rounds.create () in
+  let tr = Trace.create () in
+  Rounds.attach_trace ledger (Some tr);
+  let net = Network.create (Gen.path 3) ledger in
+  let step ~round ~vertex st _ib ob =
+    if Vertex.local_int vertex = 0 then begin
+      if round = 1 then Arena.Outbox.wake_at ob ~round:50;
+      if round = 50 then Arena.Outbox.wake ob;
+      round :: st
+    end
+    else st
+  in
+  let states, rounds = Network.run_active net ~label:"sleeper" ~init:(fun _ -> []) ~step () in
+  (states, rounds, ledger, tr)
+
+let test_wake_at_fires_on_time () =
+  let states, rounds, _, _ = sleeper_run () in
+  Alcotest.(check (list int)) "vertex 0 stepped in rounds 1, 50, 51" [ 51; 50; 1 ]
+    states.(0);
+  Alcotest.(check int) "the run ends a round after the timer's" 51 rounds
+
+let test_fast_forward_charged_not_ticked () =
+  let _, _, ledger, tr = sleeper_run () in
+  Alcotest.(check int) "all 51 rounds charged" 51 (Rounds.total ledger);
+  let ticks =
+    List.filter_map
+      (function Trace.Round_tick { round; _ } -> Some round | _ -> None)
+      (Trace.events tr)
+  in
+  Alcotest.(check (list int)) "ticks only for executed rounds" [ 1; 50; 51 ] ticks
+
+let test_wake_at_past_rejected () =
+  let expect_violation target =
+    let net = fresh_net (Gen.path 3) in
+    let step ~round ~vertex:_ st _ib ob =
+      if round = 1 then Arena.Outbox.wake ob else Arena.Outbox.wake_at ob ~round:target;
+      st
+    in
+    match Network.run_active net ~label:"past" ~init:(fun _ -> ()) ~step () with
+    | exception Invariant.Violation { where; _ } ->
+      Alcotest.(check string) "raised by wake_at" "Arena.Outbox.wake_at" where
+    | _ -> Alcotest.fail (Printf.sprintf "wake_at ~round:%d in round 2 accepted" target)
+  in
+  expect_violation 2;
+  expect_violation 1
+
+let test_horizon_counts_last_round () =
+  let g = Gen.cycle 4 in
+  let net = fresh_net g in
+  (* every vertex sleeps through round 2 and floods in round 3, the
+     last round of the horizon: nobody reads those messages, but they
+     were sent and count *)
+  let step ~round ~vertex st _ib ob =
+    if round = 1 then Arena.Outbox.wake_at ob ~round:3
+    else
+      Graph.iter_neighbors g (Vertex.local_int vertex) (fun u ->
+          Arena.Outbox.send1 ob ~dst:(Vertex.local u) round);
+    st
+  in
+  let _ = Network.run_for net ~label:"last" ~init:(fun _ -> ()) ~step 3 in
+  Alcotest.(check int) "messages of round 3" 8 (Network.messages_sent net);
+  Alcotest.(check int) "rounds charged" 3 (Rounds.total (Network.rounds net))
+
+(* cluster assignment, rounds and message count of Clustering(0.4),
+   recorded in golden/clustering.json before the protocol moved onto
+   timed wakes *)
+let test_clustering_golden () =
+  let ic = open_in_bin
+      (Filename.concat (Filename.dirname Sys.executable_name) "golden/clustering.json") in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let records = match Json.parse text with Ok (Json.List l) -> l | _ -> assert false in
+  let get key r = Option.get (Json.member key r) in
+  let int key r = Option.get (Json.to_int (get key r)) in
+  List.iter
+    (fun r ->
+      let family = Option.get (Json.to_str (get "family" r)) and seed = int "seed" r in
+      let g =
+        match family with
+        | "cycle" -> Gen.cycle 48
+        | _ ->
+          Gen.planted_partition (Rng.create (100 + seed)) ~parts:3 ~size:16 ~p_in:0.5
+            ~p_out:0.05
+      in
+      let net = fresh_net g in
+      let c = Clustering.run net ~beta:0.4 (Rng.create seed) in
+      let name what = Printf.sprintf "%s seed %d %s" family seed what in
+      let cluster =
+        Array.of_list
+          (List.map (fun x -> Option.get (Json.to_int x)) (Option.get (Json.to_list (get "cluster" r))))
+      in
+      Alcotest.(check (array int)) (name "clusters") cluster c.Clustering.cluster;
+      Alcotest.(check int) (name "rounds") (int "rounds" r) c.Clustering.rounds;
+      Alcotest.(check int) (name "ledger") (int "ledger" r) (Rounds.total (Network.rounds net));
+      Alcotest.(check int) (name "messages") (int "messages" r) (Network.messages_sent net))
+    records
 
 (* ---------- primitives ---------- *)
 
@@ -203,12 +301,7 @@ let test_subnetwork_violation_reports_original_id () =
   let net = fresh_net ~word_size:1 g in
   let sub, _mapping = Primitives.subnetwork net [| 3; 4; 5 |] in
   (match
-     Network.run_rounds sub ~label:"bad"
-       ~init:(fun _ -> ())
-       ~step:(fun ~round:_ ~vertex st _ ->
-         let vertex = Vertex.local_int vertex in
-         if vertex = 0 then (st, [ (1, [| 1; 2 |]) ]) else (st, []))
-       1
+     one_round_from_0 sub (fun ob -> Arena.Outbox.send ob ~dst:(Vertex.local 1) [| 1; 2 |])
    with
   | exception Network.Congestion_violation msg ->
     (* local vertex 0 is original vertex 3 *)
@@ -217,53 +310,6 @@ let test_subnetwork_violation_reports_original_id () =
       true
       (String.length msg >= 8 && String.sub msg 0 8 = "vertex 3")
   | _ -> Alcotest.fail "expected Congestion_violation")
-
-(* ---------- congested clique ---------- *)
-
-module Clique = Dex_congest.Clique
-
-let test_clique_exchange () =
-  (* round 1: everyone sends its id to everyone; round 2: record sum *)
-  let ledger = Rounds.create () in
-  let clq = Clique.create ~n:5 ledger in
-  let step ~round ~vertex st inbox =
-    let vertex = Vertex.local_int vertex in
-    if round = 1 then
-      (st, List.filter_map (fun u -> if u = vertex then None else Some (u, [| vertex |]))
-             (List.init 5 (fun i -> i)))
-    else (List.fold_left (fun acc (_, m) -> acc + m.(0)) st inbox, [])
-  in
-  let states = Clique.run_rounds clq ~label:"clique" ~init:(fun _ -> 0) ~step 2 in
-  (* vertex v receives all ids but its own: sum = 10 - v *)
-  Array.iteri (fun v s -> Alcotest.(check int) "sum" (10 - v) s) states;
-  Alcotest.(check int) "messages" 20 (Clique.messages_sent clq);
-  Alcotest.(check int) "rounds" 2 (Rounds.total ledger)
-
-let test_clique_rejects_self_and_double () =
-  let expect f =
-    match f () with
-    | exception Clique.Congestion_violation _ -> ()
-    | _ -> Alcotest.fail "expected Congestion_violation"
-  in
-  let mk () = Clique.create ~n:3 (Rounds.create ()) in
-  expect (fun () ->
-      Clique.run_rounds (mk ()) ~label:"bad" ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (0, [| 1 |]) ]) else (st, []))
-        1);
-  expect (fun () ->
-      Clique.run_rounds (mk ()) ~label:"bad" ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (st, []))
-        1);
-  expect (fun () ->
-      Clique.run_rounds (mk ()) ~label:"bad" ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1; 2 |]) ]) else (st, []))
-        1)
 
 let prop_bfs_depth_eq_distance =
   QCheck.Test.make ~name:"protocol BFS = centralized BFS" ~count:40
@@ -285,6 +331,13 @@ let () =
           Alcotest.test_case "rejects oversized" `Quick test_rejects_oversized_message;
           Alcotest.test_case "rejects self message" `Quick test_rejects_self_message;
           Alcotest.test_case "run timeout" `Quick test_run_timeout ] );
+      ( "timers",
+        [ Alcotest.test_case "wake_at fires on time" `Quick test_wake_at_fires_on_time;
+          Alcotest.test_case "fast-forward charged, not ticked" `Quick
+            test_fast_forward_charged_not_ticked;
+          Alcotest.test_case "wake_at in the past rejected" `Quick test_wake_at_past_rejected;
+          Alcotest.test_case "horizon counts last round" `Quick test_horizon_counts_last_round;
+          Alcotest.test_case "clustering golden" `Quick test_clustering_golden ] );
       ( "primitives",
         [ Alcotest.test_case "bfs tree" `Quick test_bfs_tree_matches_metrics;
           Alcotest.test_case "bfs partial component" `Quick test_bfs_tree_partial_component;
@@ -293,8 +346,4 @@ let () =
           Alcotest.test_case "subnetwork" `Quick test_subnetwork;
           Alcotest.test_case "subnetwork violation original ids" `Quick
             test_subnetwork_violation_reports_original_id;
-          QCheck_alcotest.to_alcotest prop_bfs_depth_eq_distance ] );
-      ( "clique",
-        [ Alcotest.test_case "all-to-all exchange" `Quick test_clique_exchange;
-          Alcotest.test_case "congestion rejections" `Quick
-            test_clique_rejects_self_and_double ] ) ]
+          QCheck_alcotest.to_alcotest prop_bfs_depth_eq_distance ] ) ]

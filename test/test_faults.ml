@@ -13,6 +13,7 @@ module Network = Dex_congest.Network
 module Faults = Dex_congest.Faults
 module Reliable = Dex_congest.Reliable
 module Primitives = Dex_congest.Primitives
+module Arena = Dex_congest.Arena
 module Rng = Dex_util.Rng
 
 let lossy_net ?(spec = Faults.lossy ~drop:0.1 ~seed:42 ()) g =
@@ -155,6 +156,43 @@ let test_crash_stop () =
        (function Faults.Crash { vertex = 3; _ } -> true | _ -> false)
        (Faults.trace faults))
 
+let show_fault = function
+  | Faults.Drop { round; src; dst } -> Printf.sprintf "drop r%d %d->%d" round src dst
+  | Faults.Duplicate { round; src; dst } -> Printf.sprintf "dup r%d %d->%d" round src dst
+  | Faults.Link_down { round; u; v } -> Printf.sprintf "link-down r%d %d-%d" round u v
+  | Faults.Crash { round; vertex } -> Printf.sprintf "crash r%d %d" round vertex
+
+let test_crash_event_order () =
+  (* pins where a crash lands in the fault trace of a reliable flood:
+     the kernel records vertex 4's round-2 crash when vertex 3 first
+     sends to it, in round 8 (DESIGN.md §11.4) *)
+  let g = Gen.path 5 in
+  let spec = { (Faults.lossy ~drop:0.3 ~seed:11 ()) with Faults.crashes = [ (4, 2) ] } in
+  let faults = Faults.create spec in
+  let net = Network.create ~faults g (Rounds.create ()) in
+  let config = { Reliable.max_retries = 6; Reliable.give_up = true } in
+  let tree = Reliable.bfs_tree ~config net ~root:(Vertex.local 0) in
+  Alcotest.(check (array int)) "depths" [| 0; 1; 2; 3; max_int |] tree.Primitives.depth;
+  Alcotest.(check (list string)) "fault trace"
+    [ "drop r1 0->1"; "drop r2 0->1"; "drop r3 0->1"; "drop r5 0->1";
+      "drop r5 1->2"; "drop r5 1->0"; "drop r6 0->1"; "drop r7 2->1";
+      "crash r2 4"; "drop r8 3->4"; "drop r9 2->3"; "drop r9 3->4";
+      "drop r9 3->2"; "drop r10 3->4"; "drop r11 3->4"; "drop r11 3->2";
+      "drop r12 3->4"; "drop r13 3->4" ]
+    (List.map show_fault (Faults.trace faults));
+  Alcotest.(check int) "rounds" 14 (Rounds.total (Network.rounds net))
+
+let test_quiet_flood_takes_one_round () =
+  (* an isolated root has nobody to announce to: the flood still runs
+     its first round, so one round is charged *)
+  let g = Graph.of_edges ~n:3 [ (1, 2) ] in
+  let net = Network.create g (Rounds.create ()) in
+  let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in
+  Alcotest.(check (array int)) "only the root reached" [| 0; max_int; max_int |]
+    tree.Primitives.depth;
+  Alcotest.(check int) "one round charged" 1 (Rounds.total (Network.rounds net));
+  Alcotest.(check int) "no messages" 0 (Network.messages_sent net)
+
 (* ---------- congestion discipline still enforced under faults ---------- *)
 
 let test_validation_precedes_faults () =
@@ -164,11 +202,14 @@ let test_validation_precedes_faults () =
   let spec = Faults.lossy ~drop:1.0 ~seed:2 () in
   let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
   (match
-     Network.run_rounds net ~label:"bad"
+     Network.run_for net ~label:"bad"
        ~init:(fun _ -> ())
-       ~step:(fun ~round:_ ~vertex st _ ->
-         let vertex = Vertex.local_int vertex in
-         if vertex = 0 then (st, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (st, []))
+       ~step:(fun ~round:_ ~vertex st _ib ob ->
+         if Vertex.local_int vertex = 0 then begin
+           Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 1;
+           Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 2
+         end;
+         st)
        1
    with
   | exception Network.Congestion_violation _ -> ()
@@ -178,16 +219,14 @@ let test_drop_everything_counts () =
   let g = Gen.cycle 5 in
   let faults = Faults.create (Faults.lossy ~drop:1.0 ~seed:3 ()) in
   let net = Network.create ~faults g (Rounds.create ()) in
-  let step ~round ~vertex st _ =
+  let step ~round ~vertex st _ib ob =
     let vertex = Vertex.local_int vertex in
-    if round = 1 then begin
-      let out = ref [] in
-      Graph.iter_neighbors g vertex (fun u -> out := (u, [| vertex |]) :: !out);
-      (st, !out)
-    end
-    else (st, [])
+    if round = 1 then
+      Graph.iter_neighbors g vertex (fun u ->
+          Arena.Outbox.send1 ob ~dst:(Vertex.local u) vertex);
+    st
   in
-  let _ = Network.run_rounds net ~label:"flood" ~init:(fun _ -> 0) ~step 2 in
+  let _ = Network.run_for net ~label:"flood" ~init:(fun _ -> 0) ~step 2 in
   Alcotest.(check int) "all 10 sends dropped" 10 (Faults.drops faults);
   Alcotest.(check int) "nothing delivered" 0 (Network.messages_sent net)
 
@@ -195,11 +234,12 @@ let test_duplicates_counted () =
   let g = Gen.path 2 in
   let faults = Faults.create (Faults.lossy ~drop:0.0 ~duplicate:1.0 ~seed:4 ()) in
   let net = Network.create ~faults g (Rounds.create ()) in
-  let step ~round ~vertex st _ =
-    let vertex = Vertex.local_int vertex in
-    if round = 1 && vertex = 0 then (st, [ (1, [| 7 |]) ]) else (st, [])
+  let step ~round ~vertex st _ib ob =
+    if round = 1 && Vertex.local_int vertex = 0 then
+      Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 7;
+    st
   in
-  let _ = Network.run_rounds net ~label:"dup" ~init:(fun _ -> 0) ~step 2 in
+  let _ = Network.run_for net ~label:"dup" ~init:(fun _ -> 0) ~step 2 in
   Alcotest.(check int) "one duplicate" 1 (Faults.duplicates faults);
   Alcotest.(check int) "delivered twice" 2 (Network.messages_sent net)
 
@@ -234,4 +274,6 @@ let () =
         [ Alcotest.test_case "link failure raises" `Quick test_link_failure_fails_delivery;
           Alcotest.test_case "link failure give-up" `Quick test_link_failure_give_up_partitions;
           Alcotest.test_case "crash stop" `Quick test_crash_stop;
+          Alcotest.test_case "crash event order" `Quick test_crash_event_order;
+          Alcotest.test_case "quiet flood takes one round" `Quick test_quiet_flood_takes_one_round;
           Alcotest.test_case "validation precedes faults" `Quick test_validation_precedes_faults ] ) ]

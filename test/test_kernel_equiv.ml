@@ -1,16 +1,19 @@
-(* Cross-kernel equivalence suite: the Legacy, Staged and Parallel
-   executors must be observationally identical on the list API —
-   same per-round state digests, same round counts, same message/word
-   ledgers, same fault traces — and the arena-backed cursor driver
-   must agree with itself across executors and with the graph-theoretic
-   ground truth. This is the oracle the perf work is certified
-   against (ISSUE 5 acceptance: bit-identical Conformance digests). *)
+(* Golden kernel suite. BFS, leader election and lossy-crash gossip,
+   written against the cursor driver, must reproduce bit for bit what
+   the seed's interleaved list kernel observed running the same
+   protocols in list form: per-round and final state digests, round
+   counts, message/word ledgers, fault traces, drop and duplicate
+   counts. Those observations were recorded once, in
+   golden/kernel_legacy.json, so the oracle is fixed and shares no
+   code with the kernel under test. The cursor primitives are held to
+   their recorded trees and to graph-theoretic ground truth. *)
 
 module Graph = Dex_graph.Graph
 module Generators = Dex_graph.Generators
 module Metrics = Dex_graph.Metrics
 module Vertex = Dex_graph.Vertex
 module Rng = Dex_util.Rng
+module Json = Dex_obs.Json
 module Network = Dex_congest.Network
 module Faults = Dex_congest.Faults
 module Rounds = Dex_congest.Rounds
@@ -20,10 +23,26 @@ module Arena = Dex_congest.Arena
 
 let seeds = [ 1; 2; 3 ]
 
-let executors =
-  [ ("legacy", Network.Legacy);
-    ("staged", Network.Staged);
-    ("parallel-2", Network.Parallel 2) ]
+(* ---------- the recorded oracle ---------- *)
+
+let golden =
+  let ic = open_in_bin
+      (Filename.concat (Filename.dirname Sys.executable_name) "golden/kernel_legacy.json") in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Json.parse text with Ok v -> v | Error e -> failwith ("kernel_legacy.json: " ^ e)
+
+let field key v =
+  match Json.member key v with Some x -> x | None -> failwith ("golden: no field " ^ key)
+
+let int_of v = Option.get (Json.to_int v)
+let list_of v = Option.get (Json.to_list v)
+let int_field key v = int_of (field key v)
+let ints_field key v = Array.of_list (List.map int_of (list_of (field key v)))
+
+(* the golden record of [workload] for [seed] *)
+let recorded workload seed =
+  List.find (fun r -> int_field "seed" r = seed) (list_of (field workload golden))
 
 (* ---------- observation record ---------- *)
 
@@ -38,6 +57,19 @@ type obs = {
   dups : int;
 }
 
+let obs_of_json r =
+  { final_digest = int_field "final_digest" r;
+    per_round =
+      List.map
+        (fun p -> match list_of p with [ a; b ] -> (int_of a, int_of b) | _ -> assert false)
+        (list_of (field "per_round" r));
+    rounds = int_field "rounds" r;
+    messages = int_field "messages" r;
+    words = int_field "words" r;
+    fault_log = List.map (fun s -> Option.get (Json.to_str s)) (list_of (field "fault_log" r));
+    drops = int_field "drops" r;
+    dups = int_field "duplicates" r }
+
 let fault_repr = function
   | Faults.Drop { round; src; dst } -> Printf.sprintf "drop@%d:%d->%d" round src dst
   | Faults.Duplicate { round; src; dst } ->
@@ -45,11 +77,9 @@ let fault_repr = function
   | Faults.Link_down { round; u; v } -> Printf.sprintf "link@%d:%d-%d" round u v
   | Faults.Crash { round; vertex } -> Printf.sprintf "crash@%d:%d" round vertex
 
-let observe ?spec ~executor g runner =
+let observe ?spec g runner =
   let faults = Option.map Faults.create spec in
-  (* shard_min 0: let [Parallel _] spawn domains even on these small
-     graphs, so the sharded Phase A is what the suite actually checks *)
-  let net = Network.create ?faults ~executor ~shard_min:0 g (Rounds.create ()) in
+  let net = Network.create ?faults g (Rounds.create ()) in
   let per_round = ref [] in
   let on_round round states =
     per_round := (round, Conformance.default_digest states) :: !per_round
@@ -76,84 +106,69 @@ let check_same name base o =
   Alcotest.(check int) (name ^ " drops") base.drops o.drops;
   Alcotest.(check int) (name ^ " duplicates") base.dups o.dups
 
-let equivalent ~workload ?spec make_graph runner () =
+let matches_golden ~workload ?spec make_graph runner () =
   List.iter
     (fun seed ->
-      let g = make_graph seed in
       let spec = Option.map (fun f -> f seed) spec in
-      let base = observe ?spec ~executor:Network.Legacy g runner in
-      List.iter
-        (fun (ename, e) ->
-          let o = observe ?spec ~executor:e g runner in
-          check_same (Printf.sprintf "%s seed %d %s" workload seed ename) base o)
-        executors)
+      let o = observe ?spec (make_graph seed) runner in
+      check_same
+        (Printf.sprintf "%s seed %d" workload seed)
+        (obs_of_json (recorded workload seed))
+        o)
     seeds
 
-(* ---------- list-API workloads ---------- *)
+(* ---------- the former list-API workloads, on cursors ---------- *)
+
+let send_all g v ob w =
+  Graph.iter_neighbors g v (fun u -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) w)
 
 let bfs_runner g net on_round =
   let init v = if v = 0 then (0, 0, true) else (max_int, -1, false) in
-  let step ~round:_ ~vertex st inbox =
+  let step ~round:_ ~vertex st ib ob =
     let v = Vertex.local_int vertex in
     let dist, par, pending = st in
     let dist, par, pending =
-      if dist = max_int then
-        List.fold_left
-          (fun (d0, p0, pend) (sender, (msg : int array)) ->
-            let d = msg.(0) + 1 in
-            if d < d0 then (d, sender, true) else (d0, p0, pend))
-          (dist, par, pending) inbox
+      if dist = max_int then begin
+        (* the list inbox ran senders descending and adopted strict
+           improvements: the highest sender among the nearest wins *)
+        let best = ref (dist, par, pending) in
+        Arena.Inbox.iter1 ib (fun sender w ->
+            let d0, _, _ = !best in
+            if w + 1 <= d0 then best := (w + 1, sender, true));
+        !best
+      end
       else (dist, par, pending)
     in
-    if pending then begin
-      let out = ref [] in
-      Graph.iter_neighbors g v (fun u -> out := (u, [| dist |]) :: !out);
-      ((dist, par, false), !out)
-    end
-    else ((dist, par, false), [])
+    if pending then send_all g v ob dist;
+    (dist, par, false)
   in
-  let finished states = Array.for_all (fun (_, _, p) -> not p) states in
-  Network.run net ~label:"bfs" ~init ~step ~finished ~on_round ()
+  Network.run_active net ~label:"bfs" ~init ~step ~on_round ()
 
 let leader_runner g net on_round =
   let init v = (v, true) in
-  let step ~round:_ ~vertex st inbox =
+  let step ~round:_ ~vertex (best0, fresh) ib ob =
     let v = Vertex.local_int vertex in
-    let best0, fresh = st in
-    let best =
-      List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) best0 inbox
-    in
-    if best < best0 || fresh then begin
-      let out = ref [] in
-      Graph.iter_neighbors g v (fun u -> out := (u, [| best |]) :: !out);
-      ((best, false), !out)
-    end
-    else ((best, false), [])
+    let best = ref best0 in
+    Arena.Inbox.iter1 ib (fun _ w -> if w < !best then best := w);
+    if !best < best0 || fresh then send_all g v ob !best;
+    (!best, false)
   in
-  let prev = ref [||] in
-  let finished states =
-    let snap = Array.map fst states in
-    let same = !prev <> [||] && snap = !prev in
-    prev := snap;
-    same
-  in
-  Network.run net ~label:"leader" ~init ~step ~finished ~on_round ()
+  Network.run_active net ~label:"leader" ~init ~step ~on_round ()
 
 (* constant traffic for ten rounds, so drop/duplicate coins and the
-   crash/link schedule all get exercised on every executor *)
+   crash/link schedule all get exercised; every vertex wakes itself,
+   since a vertex whose inbound messages were all dropped still sends *)
 let gossip_runner g net on_round =
   let init v = v in
-  let step ~round:_ ~vertex st inbox =
+  let step ~round:_ ~vertex st ib ob =
     let v = Vertex.local_int vertex in
-    let st =
-      List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) st inbox
-    in
-    let out = ref [] in
-    Graph.iter_neighbors g v (fun u -> out := (u, [| st |]) :: !out);
-    (st, !out)
+    let st = ref st in
+    Arena.Inbox.iter1 ib (fun _ w -> if w < !st then st := w);
+    send_all g v ob !st;
+    Arena.Outbox.wake ob;
+    !st
   in
-  let states = Network.run_rounds net ~label:"gossip" ~init ~step ~on_round 10 in
-  (states, 10)
+  (Network.run_for net ~label:"gossip" ~init ~step ~on_round 10, 10)
 
 let gnp_graph seed = Generators.gnp (Rng.create seed) ~n:40 ~p:0.12
 
@@ -166,65 +181,50 @@ let fault_spec seed =
     Faults.link_failures = [ ((1, 2), 1) ];
     Faults.crashes = [ (3, 2) ] }
 
-let test_bfs_equivalent = equivalent ~workload:"bfs" gnp_graph bfs_runner
+let test_bfs_golden = matches_golden ~workload:"bfs" gnp_graph bfs_runner
 
-let test_leader_equivalent = equivalent ~workload:"leader" gnp_graph leader_runner
+let test_leader_golden = matches_golden ~workload:"leader" gnp_graph leader_runner
 
-let test_faulty_gossip_equivalent =
-  equivalent ~workload:"gossip" ~spec:fault_spec cycle_graph gossip_runner
+let test_faulty_gossip_golden =
+  matches_golden ~workload:"gossip" ~spec:fault_spec cycle_graph gossip_runner
 
-(* ---------- cursor API across executors ---------- *)
+(* ---------- cursor primitives ---------- *)
 
-let bfs_tree_obs ~executor g =
-  let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
-  let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
-  let rounds = List.assoc "bfs" (Rounds.by_phase (Network.rounds net)) in
-  (tree, rounds, Network.messages_sent net, Network.words_sent net)
-
-let test_cursor_bfs_across_executors () =
+let test_cursor_bfs_tree () =
   List.iter
     (fun seed ->
       let g = gnp_graph seed in
-      let base, rounds, msgs, words = bfs_tree_obs ~executor:Network.Legacy g in
+      let net = Network.create g (Rounds.create ()) in
+      let t = Primitives.bfs_tree net ~root:(Vertex.local 0) in
       let truth = Metrics.bfs_distances g 0 in
       Array.iteri
-        (fun v d ->
-          Alcotest.(check int) (Printf.sprintf "depth %d vs bfs" v) truth.(v) d)
-        base.Primitives.depth;
-      List.iter
-        (fun (ename, e) ->
-          let t, r, m, w = bfs_tree_obs ~executor:e g in
-          let name what = Printf.sprintf "bfs_tree seed %d %s %s" seed ename what in
-          Alcotest.(check (array int)) (name "depths") base.Primitives.depth
-            t.Primitives.depth;
-          Alcotest.(check (array int)) (name "members") base.Primitives.members
-            t.Primitives.members;
-          Alcotest.(check int) (name "height") base.Primitives.height t.Primitives.height;
-          Alcotest.(check int) (name "rounds") rounds r;
-          Alcotest.(check int) (name "messages") msgs m;
-          Alcotest.(check int) (name "words") words w)
-        executors)
+        (fun v d -> Alcotest.(check int) (Printf.sprintf "depth %d vs bfs" v) truth.(v) d)
+        t.Primitives.depth;
+      let r = recorded "bfs_tree" seed in
+      let name what = Printf.sprintf "bfs_tree seed %d %s" seed what in
+      Alcotest.(check (array int)) (name "depths") (ints_field "depth" r) t.Primitives.depth;
+      Alcotest.(check (array int)) (name "members") (ints_field "members" r)
+        t.Primitives.members;
+      Alcotest.(check int) (name "height") (int_field "height" r) t.Primitives.height;
+      Alcotest.(check int) (name "rounds") (int_field "rounds" r)
+        (List.assoc "bfs" (Rounds.by_phase (Network.rounds net)));
+      Alcotest.(check int) (name "messages") (int_field "messages" r)
+        (Network.messages_sent net);
+      Alcotest.(check int) (name "words") (int_field "words" r) (Network.words_sent net))
     seeds
 
-let test_cursor_leader_across_executors () =
+let test_cursor_leader () =
   List.iter
     (fun seed ->
-      let g = gnp_graph seed in
-      let run e =
-        let net = Network.create ~executor:e ~shard_min:0 g (Rounds.create ()) in
-        (Primitives.elect_leader net, Network.messages_sent net)
-      in
-      let base, base_msgs = run Network.Legacy in
-      List.iter
-        (fun (ename, e) ->
-          let leaders, msgs = run e in
-          Alcotest.(check (array int))
-            (Printf.sprintf "leaders seed %d %s" seed ename)
-            base leaders;
-          Alcotest.(check int)
-            (Printf.sprintf "leader messages seed %d %s" seed ename)
-            base_msgs msgs)
-        executors)
+      let net = Network.create (gnp_graph seed) (Rounds.create ()) in
+      let leaders = Primitives.elect_leader net in
+      let r = recorded "elect_leader" seed in
+      Alcotest.(check (array int))
+        (Printf.sprintf "leaders seed %d" seed)
+        (ints_field "leaders" r) leaders;
+      Alcotest.(check int)
+        (Printf.sprintf "leader messages seed %d" seed)
+        (int_field "messages" r) (Network.messages_sent net))
     seeds
 
 (* ---------- arena direct coverage ---------- *)
@@ -235,14 +235,10 @@ let test_arena_cursor_surface () =
   Alcotest.(check int) "word size" 2 (Arena.word_size a);
   Alcotest.(check int) "one slot per directed edge" (2 * Graph.num_plain_edges g)
     (Arena.slot_count a);
-  let net = Network.create ~word_size:2 ~executor:Network.Staged g (Rounds.create ()) in
-  (match Network.executor net with
-  | Network.Staged -> ()
-  | Network.Legacy | Network.Parallel _ -> Alcotest.fail "executor not threaded");
+  let net = Network.create ~word_size:2 g (Rounds.create ()) in
   (* round 1: every vertex sends a two-word message to both cycle
      neighbors and self-wakes; round 2: fold the inbox through every
-     cursor accessor so the shim and the zero-alloc path are both
-     exercised and must agree *)
+     cursor accessor, which must agree *)
   let step ~round ~vertex st ib ob =
     let v = Vertex.local_int vertex in
     if round = 1 then begin
@@ -253,14 +249,14 @@ let test_arena_cursor_surface () =
     end
     else begin
       let count = Arena.Inbox.count ib in
-      let shim = Arena.Inbox.to_list ib in
+      let firsts = ref 0 in
+      Arena.Inbox.iter1 ib (fun _ w -> if w = v then incr firsts);
       let sum = ref 0 in
       Arena.Inbox.iter ib (fun src msg ->
           (* senders addressed us by id: msg.(0) = v, msg.(1) = 10*src *)
           sum := !sum + msg.(0) + msg.(1) - (10 * src));
       let empty = Arena.Inbox.is_empty ib in
-      st + (1000 * count) + (100 * List.length shim) + !sum
-      + (if empty then 1_000_000 else 0)
+      st + (1000 * count) + (100 * !firsts) + !sum + if empty then 1_000_000 else 0
     end
   in
   let states, rounds =
@@ -269,13 +265,13 @@ let test_arena_cursor_surface () =
   Alcotest.(check int) "two rounds to quiescence" 2 rounds;
   Array.iteri
     (fun v st ->
-      (* two deliveries, two shim entries, iter sum = 2v *)
+      (* two deliveries, both first words = v, iter sum = 2v *)
       Alcotest.(check int) (Printf.sprintf "vertex %d" v) (2000 + 200 + (2 * v)) st)
     states
 
 let test_wake_keeps_vertex_active () =
   let g = Generators.path 5 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   (* nobody ever sends; vertex 0 self-wakes through round 3, so the
      run must execute exactly 4 rounds (the last one finds no wake)
      and step only vertex 0 after round 1 *)
@@ -297,7 +293,7 @@ let test_wake_keeps_vertex_active () =
 
 let test_run_active_round_limit () =
   let g = Generators.cycle 5 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   let step ~round:_ ~vertex:_ st _ib ob =
     Arena.Outbox.wake ob;
     st
@@ -311,9 +307,9 @@ let test_run_active_round_limit () =
 
 let test_cursor_congestion_violation () =
   let g = Generators.path 4 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
-  (* vertex 0's only neighbor is 1: sending to 3 must raise the same
-     exception, with the same wording, as the legacy validator *)
+  let net = Network.create g (Rounds.create ()) in
+  (* vertex 0's only neighbor is 1: sending to 3 must raise, naming
+     both endpoints *)
   let step ~round:_ ~vertex st _ib ob =
     if Vertex.local_int vertex = 0 then Arena.Outbox.send1 ob ~dst:(Vertex.local 3) 7;
     st
@@ -326,12 +322,12 @@ let test_cursor_congestion_violation () =
 let () =
   Alcotest.run "kernel-equiv"
     [ ( "list-api",
-        [ Alcotest.test_case "bfs" `Quick test_bfs_equivalent;
-          Alcotest.test_case "leader" `Quick test_leader_equivalent;
-          Alcotest.test_case "faulty gossip" `Quick test_faulty_gossip_equivalent ] );
+        [ Alcotest.test_case "bfs" `Quick test_bfs_golden;
+          Alcotest.test_case "leader" `Quick test_leader_golden;
+          Alcotest.test_case "faulty gossip" `Quick test_faulty_gossip_golden ] );
       ( "cursor-api",
-        [ Alcotest.test_case "bfs tree" `Quick test_cursor_bfs_across_executors;
-          Alcotest.test_case "leader" `Quick test_cursor_leader_across_executors ] );
+        [ Alcotest.test_case "bfs tree" `Quick test_cursor_bfs_tree;
+          Alcotest.test_case "leader" `Quick test_cursor_leader ] );
       ( "arena",
         [ Alcotest.test_case "cursor surface" `Quick test_arena_cursor_surface;
           Alcotest.test_case "wake" `Quick test_wake_keeps_vertex_active;

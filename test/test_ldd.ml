@@ -76,7 +76,8 @@ let test_clustering_cut_fraction_expectation () =
 
 let test_clustering_beta_validation () =
   let g = Gen.path 4 in
-  Alcotest.check_raises "beta out of range" (Invalid_argument "Clustering.run: beta in (0,1)")
+  Alcotest.check_raises "beta out of range"
+    (Dex_util.Invariant.Violation { where = "Clustering.run"; what = "beta must be in (0, 1)" })
     (fun () -> ignore (Clustering.run (net_of g) ~beta:1.5 (Rng.create 1)))
 
 let test_clustering_start_times () =
@@ -120,7 +121,8 @@ let test_all_ball_counts_match_single () =
 let test_lemma16_rounds_positive () =
   Alcotest.(check bool) "positive" true (Neighborhood.lemma16_rounds ~n:100 ~d:5 ~f:0.5 > 0);
   Alcotest.check_raises "f validation"
-    (Invalid_argument "Neighborhood.lemma16_rounds: f in (0,1)") (fun () ->
+    (Dex_util.Invariant.Violation
+       { where = "Neighborhood.lemma16_rounds"; what = "f must be in (0, 1)" }) (fun () ->
       ignore (Neighborhood.lemma16_rounds ~n:100 ~d:5 ~f:1.5))
 
 (* ---------- refinement ---------- *)

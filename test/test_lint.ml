@@ -89,6 +89,7 @@ let test_d006_scoped_to_kernel () =
 let test_scope_d003_only_protocol_layers () =
   let src = "let f () = failwith \"x\"" in
   check_rules "congest" [ "D003" ] (lint ~path:"lib/congest/x.ml" src);
+  check_rules "ldd" [ "D003" ] (lint ~path:"lib/ldd/x.ml" src);
   check_rules "routing" [ "D003" ] (lint ~path:"lib/routing/x.ml" src);
   check_rules "expander" [ "D003" ] (lint ~path:"lib/expander/x.ml" src);
   check_rules "util exempt" [] (lint ~path:"lib/util/x.ml" src);

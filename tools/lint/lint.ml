@@ -26,9 +26,9 @@ let rules =
       "no Random.* outside lib/util/rng.ml; thread a Dex_util.Rng.t \
        explicitly" );
     ( "D003",
-      "no failwith/invalid_arg/assert false in lib/congest, lib/routing, \
-       lib/expander; raise a typed exception (Dex_util.Invariant.Violation \
-       or a module-specific one)" );
+      "no failwith/invalid_arg/assert false in lib/congest, lib/ldd, \
+       lib/routing, lib/expander; raise a typed exception \
+       (Dex_util.Invariant.Violation or a module-specific one)" );
     ( "D004",
       "no wall-clock (Sys.time, Unix.gettimeofday, Unix.time) outside \
        bench/ and lib/obs; use Dex_obs.Clock" );
@@ -83,6 +83,7 @@ let rule_applies ~all_rules segs rule =
   | "D002" -> gated segs && segs <> [ "lib"; "util"; "rng.ml" ]
   | "D003" ->
     under [ "lib"; "congest" ] segs
+    || under [ "lib"; "ldd" ] segs
     || under [ "lib"; "routing" ] segs
     || under [ "lib"; "expander" ] segs
   | "D004" ->
