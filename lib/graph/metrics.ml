@@ -33,6 +33,11 @@ let complement g s =
   done;
   out
 
+let set_difference universe subset =
+  let drop = Hashtbl.create (2 * Array.length subset) in
+  Array.iter (fun v -> Hashtbl.replace drop v ()) subset;
+  Array.of_list (List.filter (fun v -> not (Hashtbl.mem drop v)) (Array.to_list universe))
+
 let cut_size_mask g mask =
   let crossing = ref 0 in
   Graph.iter_edges g (fun u v -> if u <> v && mask.(u) <> mask.(v) then incr crossing);

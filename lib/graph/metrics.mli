@@ -15,6 +15,10 @@ val vertices_of_mask : bool array -> int array
 (** [complement g s] is [V \ S] as a sorted array. *)
 val complement : Graph.t -> int array -> int array
 
+(** [set_difference u s] is [u] without the members of [s], in [u]'s
+    order; the ids need not be vertices of one graph. *)
+val set_difference : int array -> int array -> int array
+
 (** [cut_size g s] = [|∂(S)|], the number of edges crossing [S].
     Self-loops never cross. *)
 val cut_size : Graph.t -> int array -> int

@@ -49,10 +49,11 @@ let dsmp ?walk_length g rng =
     in
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
+    let step = Dex_spectral.Walk.step g ~eps:0.0 in
     let p = ref (Dex_spectral.Walk.indicator src) in
     let best = ref None in
     for _ = 1 to steps do
-      p := Dex_spectral.Walk.step_sparse g !p;
+      p := step !p;
       match Sweep.best_cut g !p with
       | None -> ()
       | Some (sweep, j) ->

@@ -1,4 +1,5 @@
 module Graph = Dex_graph.Graph
+module Metrics = Dex_graph.Metrics
 module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
 
@@ -45,14 +46,26 @@ type conditions = {
   c3 : Sweep.prefix -> bool;
 }
 
+(* ‖next − p‖₁, summed over the ids of [next] ascending, then over the
+   ids supported only in [p] ascending *)
+let l1_change (next : Walk.sparse) (p : Walk.sparse) =
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i v ->
+      let y = match Walk.find p v with Some j -> p.mass.(j) | None -> 0.0 in
+      acc := !acc +. Float.abs (next.mass.(i) -. y))
+    next.ids;
+  Array.iteri
+    (fun j v -> if Option.is_none (Walk.find next v) then acc := !acc +. p.mass.(j))
+    p.ids;
+  !acc
+
 let run_generic (params : Params.t) g ~src ~b ~select =
-  if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range";
+  Dex_util.Invariant.require (b >= 1 && b <= params.ell) ~where:"Nibble.run" "1 <= b <= ell";
   let total_volume = Graph.total_volume g in
-  let eps = Params.eps_b params b in
-  let seen = Hashtbl.create 64 in
-  let note_support p =
-    Dex_util.Table.iter_sorted (fun v _ -> Hashtbl.replace seen v ()) p
-  in
+  let step = Walk.step g ~eps:(Params.eps_b params b) in
+  let seen = Array.make (Graph.num_vertices g) false in
+  let note_support (p : Walk.sparse) = Array.iter (fun v -> seen.(v) <- true) p.ids in
   let p = ref (Walk.indicator src) in
   note_support !p;
   let rounds = ref 0 in
@@ -96,29 +109,15 @@ let run_generic (params : Params.t) g ~src ~b ~select =
     (not (good_enough ())) && (not !converged) && !t < min params.t0 !deadline
   do
     incr t;
-    let next = Walk.truncate g ~eps (Walk.step_sparse g !p) in
+    let next = step !p in
     incr rounds;
     (* one diffusion step = one communication round *)
     (* fixpoint detection: once the truncated walk stops moving no
        later sweep can differ, so scanning further steps is pointless *)
-    let l1_change =
-      (* sorted iteration: float accumulation order must not depend on
-         the tables' insertion histories *)
-      let acc = ref 0.0 in
-      Dex_util.Table.iter_sorted
-        (fun v x ->
-          let y = try Hashtbl.find !p v with Not_found -> 0.0 in
-          acc := !acc +. Float.abs (x -. y))
-        next;
-      Dex_util.Table.iter_sorted
-        (fun v y -> if not (Hashtbl.mem next v) then acc := !acc +. y)
-        !p;
-      !acc
-    in
-    if l1_change <= 1e-12 then converged := true;
+    if l1_change next !p <= 1e-12 then converged := true;
     p := next;
     note_support !p;
-    if Hashtbl.length !p > 0 && Params.should_sweep params !t then begin
+    if Array.length !p.ids > 0 && Params.should_sweep params !t then begin
       let sweep = Sweep.scan g !p in
       match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
       | None -> ()
@@ -132,13 +131,13 @@ let run_generic (params : Params.t) g ~src ~b ~select =
   done;
   (* on early convergence, one last sweep in case the stride skipped
      the fixpoint step *)
-  if !result = None && !converged && Hashtbl.length !p > 0 then begin
+  if !result = None && !converged && Array.length !p.ids > 0 then begin
     let sweep = Sweep.scan g !p in
     match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
     | None -> ()
     | Some cut -> result := Some cut
   end;
-  let participants = Array.of_list (Dex_util.Table.keys_sorted seen) in
+  let participants = Metrics.vertices_of_mask seen in
   { result = !result;
     src;
     b;
@@ -223,24 +222,12 @@ let approximate params g ~src ~b =
   run_generic params g ~src ~b ~select
 
 let participating_edges g outcome =
-  let mask = Hashtbl.create (2 * Array.length outcome.participants) in
-  Array.iter (fun v -> Hashtbl.replace mask v ()) outcome.participants;
+  let mask = Metrics.mask_of g outcome.participants in
   let acc = ref [] in
   Array.iter
     (fun v ->
       Graph.iter_neighbors g v (fun u ->
-          if u > v || not (Hashtbl.mem mask u) then
-            acc := ((min u v, max u v)) :: !acc))
+          if u > v || not mask.(u) then acc := (min u v, max u v) :: !acc))
     outcome.participants;
-  (* normalize duplicates: an edge with both endpoints participating is
-     produced once by the guard above except when u < v and u not in
-     mask — dedupe to be safe *)
-  let dedup = Hashtbl.create (2 * List.length !acc) in
-  List.filter
-    (fun e ->
-      if Hashtbl.mem dedup e then false
-      else begin
-        Hashtbl.replace dedup e ();
-        true
-      end)
-    !acc
+  (* parallel edges yield the same pair more than once *)
+  List.sort_uniq compare !acc

@@ -1,6 +1,8 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
 module Sweep = Dex_spectral.Sweep
+module Walk = Dex_spectral.Walk
+module Invariant = Dex_util.Invariant
 
 type t = {
   cut : int array;
@@ -11,10 +13,11 @@ type t = {
 }
 
 let approximate_pagerank ?(alpha = 0.1) ?eps g ~src =
-  if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Pagerank_cut: alpha in (0,1)";
+  Invariant.require (alpha > 0.0 && alpha < 1.0) ~where:"Pagerank_cut.approximate_pagerank"
+    "alpha in (0, 1)";
   let m = max 1 (Graph.num_edges g) in
   let eps = match eps with Some e -> e | None -> 1.0 /. (20.0 *. float_of_int m) in
-  if eps <= 0.0 then invalid_arg "Pagerank_cut: eps > 0";
+  Invariant.require (eps > 0.0) ~where:"Pagerank_cut.approximate_pagerank" "eps > 0";
   let p = Hashtbl.create 64 in
   let r = Hashtbl.create 64 in
   Hashtbl.replace r src 1.0;
@@ -62,6 +65,8 @@ let run ?alpha ?eps g ~src =
   let p, _r, pushes = approximate_pagerank ?alpha ?eps g ~src in
   if Hashtbl.length p = 0 then None
   else begin
+    let ids = Array.of_list (Dex_util.Table.keys_sorted ~compare:Int.compare p) in
+    let p = Walk.of_sorted ~ids ~mass:(Array.map (Hashtbl.find p) ids) in
     match Sweep.best_cut g p with
     | None -> None
     | Some (sweep, j) ->
@@ -73,5 +78,5 @@ let run ?alpha ?eps g ~src =
           conductance = pref.Sweep.conductance;
           balance = Metrics.balance g vertices;
           pushes;
-          support = Hashtbl.length p }
+          support = Array.length ids }
   end

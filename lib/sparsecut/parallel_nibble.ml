@@ -83,9 +83,9 @@ let run ?k ?ledger params g rng =
     else begin
       (* prefix-union selection: largest i* with Vol(U_{i*}) ≤ 23/24·Vol *)
       let threshold = 23 * total_volume / 24 in
-      let members = Hashtbl.create 256 in
+      let members = Array.make (Graph.num_vertices g) false in
       let vol = ref 0 in
-      let best = ref [] in
+      let best = ref [||] in
       (try
          List.iter
            (fun (o : Nibble.outcome) ->
@@ -94,18 +94,15 @@ let run ?k ?ledger params g rng =
              | Some cut ->
                Array.iter
                  (fun v ->
-                   if not (Hashtbl.mem members v) then begin
-                     Hashtbl.replace members v ();
+                   if not members.(v) then begin
+                     members.(v) <- true;
                      vol := !vol + Graph.degree g v
                    end)
                  cut.Nibble.vertices);
-             if !vol <= threshold then
-               best := Dex_util.Table.keys_sorted members
+             if !vol <= threshold then best := Dex_graph.Metrics.vertices_of_mask members
              else raise Exit)
            outcomes
        with Exit -> ());
-      let cut = Array.of_list !best in
-      Array.sort compare cut;
-      { cut; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
+      { cut = !best; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
     end
   end

@@ -1,3 +1,5 @@
+module Invariant = Dex_util.Invariant
+
 type preset = Theory | Practical
 
 type t = {
@@ -18,9 +20,8 @@ type t = {
 let log2 x = log x /. log 2.0
 
 let make ?(preset = Practical) ~phi ~m () =
-  if phi <= 0.0 || phi > 1.0 /. 12.0 then
-    invalid_arg "Params.make: phi must be in (0, 1/12]";
-  if m < 1 then invalid_arg "Params.make: m must be >= 1";
+  Invariant.require (phi > 0.0 && phi <= 1.0 /. 12.0) ~where:"Params.make" "phi in (0, 1/12]";
+  Invariant.require (m >= 1) ~where:"Params.make" "m >= 1";
   let mf = float_of_int m in
   let ln_me2 = log (mf *. exp 2.0) in
   let ln_me4 = log (mf *. exp 4.0) in
@@ -41,7 +42,7 @@ let make ?(preset = Practical) ~phi ~m () =
 let should_sweep t step = step <= 16 || step mod t.sweep_stride = 0
 
 let eps_b t b =
-  if b < 1 || b > t.ell then invalid_arg "Params.eps_b: b out of range";
+  Invariant.require (b >= 1 && b <= t.ell) ~where:"Params.eps_b" "1 <= b <= ell";
   let mf = float_of_int t.m in
   let ln_me4 = log (mf *. exp 4.0) in
   t.phi /. (7.0 *. 8.0 *. ln_me4 *. float_of_int t.t0 *. (2.0 ** float_of_int b))
@@ -80,7 +81,7 @@ let g_value t ~volume =
   if g >= float_of_int max_int then max_int else max 1 (int_of_float (Float.ceil g))
 
 let partition_iterations t ~volume ~p =
-  if p <= 0.0 || p >= 1.0 then invalid_arg "Params.partition_iterations: p in (0,1)";
+  Invariant.require (p > 0.0 && p < 1.0) ~where:"Params.partition_iterations" "p in (0, 1)";
   let g = g_value t ~volume in
   let log_factor = int_of_float (Float.ceil (log (1.0 /. p) /. log (7.0 /. 4.0))) in
   let s = 4.0 *. float_of_int g *. float_of_int (max 1 log_factor) in

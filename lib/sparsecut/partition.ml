@@ -57,14 +57,7 @@ let run ?p ?ledger params g rng =
            allows up to 11/12 of the volume); peel the smaller side so
            the running union stays a clean sparse cut *)
         let cut =
-          if 2 * Graph.volume gw cut > Graph.total_volume gw then begin
-            let mask = Hashtbl.create (2 * Array.length cut) in
-            Array.iter (fun v -> Hashtbl.replace mask v ()) cut;
-            Array.init (Graph.num_vertices gw) (fun v -> v)
-            |> Array.to_list
-            |> List.filter (fun v -> not (Hashtbl.mem mask v))
-            |> Array.of_list
-          end
+          if 2 * Graph.volume gw cut > Graph.total_volume gw then Metrics.complement gw cut
           else cut
         in
         if Array.length cut = 0 then begin
@@ -107,7 +100,7 @@ let acceptable ~bound t =
   certified_no_sparse_cut t || t.conductance <= bound
 
 let run_verified ?(attempts = 3) ?p ?ledger ~bound params g rng =
-  if attempts < 1 then invalid_arg "Partition.run_verified: attempts must be >= 1";
+  Dex_util.Invariant.require (attempts >= 1) ~where:"Partition.run_verified" "attempts >= 1";
   let module Rng = Dex_util.Rng in
   let retry certified i =
     match ledger with

@@ -52,7 +52,7 @@ val acceptable : bound:float -> t -> bool
     carries the best attempt seen — typed failure reporting, never an
     exception. With a [ledger], each attempt runs in an
     ["attempt-<i>"] span and, when a trace is attached, emits a retry
-    event labeled ["sparse-cut"]. Raises [Invalid_argument] when
+    event labeled ["sparse-cut"]. Raises [Dex_util.Invariant.Violation] when
     [attempts < 1]. *)
 val run_verified :
   ?attempts:int ->

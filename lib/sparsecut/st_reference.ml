@@ -40,14 +40,8 @@ let run ?(max_nibbles = 64) params g rng =
           idle := 0;
           (* peel the smaller side of the cut, as in Partition *)
           let vertices =
-            if 2 * found.Nibble.volume > Graph.total_volume gw then begin
-              let mask = Hashtbl.create (2 * Array.length found.Nibble.vertices) in
-              Array.iter (fun v -> Hashtbl.replace mask v ()) found.Nibble.vertices;
-              Array.init (Graph.num_vertices gw) (fun v -> v)
-              |> Array.to_list
-              |> List.filter (fun v -> not (Hashtbl.mem mask v))
-              |> Array.of_list
-            end
+            if 2 * found.Nibble.volume > Graph.total_volume gw then
+              Metrics.complement gw found.Nibble.vertices
             else found.Nibble.vertices
           in
           Array.iter

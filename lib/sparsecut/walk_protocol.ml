@@ -50,11 +50,5 @@ let run net ~src ~eps ~steps =
     end
   in
   let states = Network.run_for net ~label:"walk-protocol" ~init ~step (steps + 1) in
-  let pairs = ref [] in
-  Array.iteri (fun v st -> if st.mass > 0.0 then pairs := (v, st.mass) :: !pairs) states;
-  (List.rev !pairs, steps + 1)
-
-let distribution_table pairs =
-  let tbl = Hashtbl.create (2 * List.length pairs) in
-  List.iter (fun (v, x) -> Hashtbl.replace tbl v x) pairs;
-  tbl
+  let ids = Dex_graph.Metrics.vertices_of_mask (Array.map (fun st -> st.mass > 0.0) states) in
+  (Dex_spectral.Walk.of_sorted ~ids ~mass:(Array.map (fun v -> states.(v).mass) ids), steps + 1)

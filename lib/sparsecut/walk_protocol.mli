@@ -16,13 +16,9 @@
     {!Nibble}. *)
 
 (** [run net ~src ~eps ~steps] executes the protocol and returns the
-    final distribution as (vertex, mass) pairs plus the rounds
-    charged. *)
+    final distribution (the vertices holding positive mass) plus the
+    rounds charged. *)
 val run :
   Dex_congest.Network.t ->
   src:int -> eps:float -> steps:int ->
-  (int * float) list * int
-
-(** [distribution_table pairs] is the sparse-table form, comparable to
-    {!Dex_spectral.Walk} distributions. *)
-val distribution_table : (int * float) list -> (int, float) Hashtbl.t
+  Dex_spectral.Walk.sparse * int

@@ -3,7 +3,8 @@ module Metrics = Dex_graph.Metrics
 
 let enumerate g f =
   let n = Graph.num_vertices g in
-  if n > 24 then invalid_arg "Exact: graph too large for subset enumeration";
+  Dex_util.Invariant.require (n <= 24) ~where:"Exact.enumerate"
+    "graph too large for subset enumeration";
   if n >= 2 then begin
     (* fix vertex n-1 outside S: each cut {S, S̄} visited once *)
     let limit = 1 lsl (n - 1) in
@@ -30,7 +31,7 @@ let min_conductance g =
         | _ -> best := Some (c, Array.copy s));
   match !best with
   | Some (c, s) -> (c, s)
-  | None -> invalid_arg "Exact.min_conductance: no non-degenerate cut"
+  | None -> Dex_util.Invariant.fail ~where:"Exact.min_conductance" "no non-degenerate cut"
 
 let most_balanced_sparse_cut g ~phi =
   let best = ref None in

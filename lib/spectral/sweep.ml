@@ -11,22 +11,22 @@ type prefix = {
 type t = { ordered : int array; prefixes : prefix array }
 
 let take sweep j =
-  if j < 0 || j > Array.length sweep.ordered then invalid_arg "Sweep.take";
+  Dex_util.Invariant.require
+    (j >= 0 && j <= Array.length sweep.ordered)
+    ~where:"Sweep.take" "0 <= j <= length of the order";
   Array.sub sweep.ordered 0 j
 
-let order g p =
-  let entries =
-    Dex_util.Table.fold_sorted (fun v mass acc -> (v, mass) :: acc) p []
-    |> List.filter (fun (v, _) -> Graph.degree g v > 0)
-    |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
+let order g (p : Walk.sparse) =
+  let deg i = Graph.degree g p.ids.(i) in
+  let rho = Array.mapi (fun i x -> x /. float_of_int (max 1 (deg i))) p.mass in
+  let ranked =
+    Array.of_list (List.filter (fun i -> deg i > 0) (List.init (Array.length p.ids) Fun.id))
   in
-  let sorted =
-    List.sort
-      (fun (v1, r1) (v2, r2) ->
-        match compare r2 r1 with 0 -> compare v1 v2 | c -> c)
-      entries
-  in
-  Array.of_list (List.map fst sorted)
+  (* positions ascend with ids, so comparing positions breaks ties by id *)
+  Array.sort
+    (fun i j -> match Float.compare rho.(j) rho.(i) with 0 -> Int.compare i j | c -> c)
+    ranked;
+  Array.map (fun i -> p.ids.(i)) ranked
 
 let scan_order g ordered rho_of =
   let total_volume = Graph.total_volume g in
@@ -52,7 +52,7 @@ let scan_order g ordered rho_of =
   done;
   { ordered; prefixes }
 
-let scan g p = scan_order g (order g p) (fun v -> Walk.rho g p v)
+let scan g p = scan_order g (order g p) (Walk.rho g p)
 
 let best_cut g p =
   let sweep = scan g p in

@@ -15,7 +15,8 @@ type prefix = {
     ([prefixes.(j-1)] describes π(1..j)). *)
 type t = { ordered : int array; prefixes : prefix array }
 
-(** [take sweep j] materializes π(1..j) as a vertex array. *)
+(** [take sweep j] materializes π(1..j) as a vertex array. Raises
+    [Dex_util.Invariant.Violation] unless 0 ≤ j ≤ the order's length. *)
 val take : t -> int -> int array
 
 (** [order g p] is the support of [p] sorted by decreasing ρ (ties by

@@ -1,11 +1,17 @@
 module Graph = Dex_graph.Graph
+module Invariant = Dex_util.Invariant
 
-type sparse = (int, float) Hashtbl.t
+type sparse = { ids : int array; mass : float array }
 
-let indicator v =
-  let t = Hashtbl.create 4 in
-  Hashtbl.replace t v 1.0;
-  t
+let indicator v = { ids = [| v |]; mass = [| 1.0 |] }
+
+let of_sorted ~ids ~mass =
+  let ascending i = i = 0 || ids.(i - 1) < ids.(i) in
+  Invariant.require
+    (Array.length ids = Array.length mass
+    && List.for_all ascending (List.init (Array.length ids) Fun.id))
+    ~where:"Walk.of_sorted" "ids strictly ascending, one mass per id";
+  { ids; mass }
 
 let degree_distribution g =
   let total = float_of_int (Graph.total_volume g) in
@@ -21,39 +27,59 @@ let step_dense g p =
       if deg = 0.0 then q.(v) <- q.(v) +. mass
       else begin
         let share = mass /. (2.0 *. deg) in
-        (* lazy half plus the self-loop share that walks back home *)
-        q.(v) <- q.(v) +. (mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v));
+        (* lazy half plus the self-loop share that walks back home,
+           summed before they land as in [step], so both agree bit for bit *)
+        q.(v) <- q.(v) +. ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
         Graph.iter_neighbors g v (fun u -> q.(u) <- q.(u) +. share)
       end
     end
   done;
   q
 
-let step_sparse g p =
-  let q = Hashtbl.create (2 * Hashtbl.length p) in
-  let add v x =
-    let prev = try Hashtbl.find q v with Not_found -> 0.0 in
-    Hashtbl.replace q v (prev +. x)
-  in
-  Dex_util.Table.iter_sorted
-    (fun v mass ->
-      let deg = float_of_int (Graph.degree g v) in
-      if deg = 0.0 then add v mass
-      else begin
-        let share = mass /. (2.0 *. deg) in
-        add v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
-        Graph.iter_neighbors g v (fun u -> add u share)
-      end)
-    p;
-  q
-
-let truncate g ~eps p =
-  let q = Hashtbl.create (Hashtbl.length p) in
-  Dex_util.Table.iter_sorted
-    (fun v mass ->
-      if mass >= 2.0 *. eps *. float_of_int (Graph.degree g v) then Hashtbl.replace q v mass)
-    p;
-  q
+let step g =
+  let n = Graph.num_vertices g in
+  let acc = Array.make n 0.0 in
+  let marked = Array.make n false in
+  let touched = Array.make n 0 in
+  fun ~eps p ->
+    let count = ref 0 in
+    let add u x =
+      if not marked.(u) then begin
+        marked.(u) <- true;
+        touched.(!count) <- u;
+        incr count
+      end;
+      acc.(u) <- acc.(u) +. x
+    in
+    (* ascending sources: every target sums its shares in source order *)
+    Array.iteri
+      (fun i v ->
+        let mass = p.mass.(i) in
+        let deg = float_of_int (Graph.degree g v) in
+        if deg = 0.0 then add v mass
+        else begin
+          let share = mass /. (2.0 *. deg) in
+          add v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
+          Graph.iter_neighbors g v (fun u -> add u share)
+        end)
+      p.ids;
+    let ids = Array.sub touched 0 !count in
+    Array.sort Int.compare ids;
+    let mass = Array.make !count 0.0 in
+    let kept = ref 0 in
+    Array.iter
+      (fun v ->
+        let x = acc.(v) in
+        acc.(v) <- 0.0;
+        marked.(v) <- false;
+        (* the paper's [·]_ε: drop p(v) < 2·eps·deg(v) *)
+        if x >= 2.0 *. eps *. float_of_int (Graph.degree g v) then begin
+          ids.(!kept) <- v;
+          mass.(!kept) <- x;
+          incr kept
+        end)
+      ids;
+    { ids = Array.sub ids 0 !kept; mass = Array.sub mass 0 !kept }
 
 let walk_from g ~src ~steps =
   let n = Graph.num_vertices g in
@@ -66,20 +92,24 @@ let walk_from g ~src ~steps =
   !cur
 
 let truncated_walk g ~src ~eps ~steps =
-  let out = Array.make (steps + 1) (Hashtbl.create 1) in
-  out.(0) <- indicator src;
+  let step = step g ~eps in
+  let out = Array.make (steps + 1) (indicator src) in
   for t = 1 to steps do
-    out.(t) <- truncate g ~eps (step_sparse g out.(t - 1))
+    out.(t) <- step out.(t - 1)
   done;
   out
+
+let find p v =
+  let lo = ref 0 and hi = ref (Array.length p.ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if p.ids.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length p.ids && p.ids.(!lo) = v then Some !lo else None
 
 let rho g p v =
   let deg = Graph.degree g v in
   if deg = 0 then 0.0
-  else
-    match Hashtbl.find_opt p v with
-    | None -> 0.0
-    | Some mass -> mass /. float_of_int deg
+  else match find p v with None -> 0.0 | Some i -> p.mass.(i) /. float_of_int deg
 
-let mass p = Dex_util.Table.fold_sorted (fun _ x acc -> acc +. x) p 0.0
-let support p = Dex_util.Table.keys_sorted p
+let mass p = Array.fold_left ( +. ) 0.0 p.mass

@@ -7,13 +7,22 @@
     like G for walk purposes.
 
     Distributions come in a dense form (float arrays indexed by
-    vertex) and a sparse form (hash tables over the support) — the
-    sparse form is what makes truncated Nibble walks cheap. *)
+    vertex) and a sparse form (the support as ascending vertex ids
+    beside their masses) — the sparse form is what makes truncated
+    Nibble walks cheap, and its fixed order makes every pass over it
+    deterministic without sorting. *)
 
-type sparse = (int, float) Hashtbl.t
+(** A sparse distribution: [mass.(i)] is the mass at vertex [ids.(i)],
+    and [ids] is strictly ascending. *)
+type sparse = private { ids : int array; mass : float array }
 
 (** [indicator v] is χ_v as a sparse distribution. *)
 val indicator : int -> sparse
+
+(** [of_sorted ~ids ~mass] is the sparse distribution with mass
+    [mass.(i)] at [ids.(i)]. Raises [Dex_util.Invariant.Violation]
+    unless [ids] is strictly ascending and as long as [mass]. *)
+val of_sorted : ids:int array -> mass:float array -> sparse
 
 (** [degree_distribution g] is ψ_V: mass deg(v)/Vol(V) at each v. *)
 val degree_distribution : Dex_graph.Graph.t -> float array
@@ -21,13 +30,13 @@ val degree_distribution : Dex_graph.Graph.t -> float array
 (** [step_dense g p] is M·p for a dense distribution. *)
 val step_dense : Dex_graph.Graph.t -> float array -> float array
 
-(** [step_sparse g p] is M·p for a sparse distribution. *)
-val step_sparse : Dex_graph.Graph.t -> sparse -> sparse
-
-(** [truncate g ~eps p] is the paper's [\[p\]_ε]: zero out entries with
-    [p(v) < 2·eps·deg(v)] (in place on a copy; the argument is not
-    modified). *)
-val truncate : Dex_graph.Graph.t -> eps:float -> sparse -> sparse
+(** [step g ~eps p] is the paper's truncated step [\[M·p\]_ε]: M·p with
+    every entry p(v) < 2·eps·deg(v) dropped; [~eps:0.0] keeps the whole
+    support of M·p. Each target sums its shares in ascending source
+    order, as {!step_dense} does, so the kept masses equal
+    {!step_dense}'s bit for bit. [step g] allocates its O(n) scratch
+    once; bind it to reuse the scratch on every step of a walk. *)
+val step : Dex_graph.Graph.t -> eps:float -> sparse -> sparse
 
 (** [walk_from g ~src ~steps] runs [steps] un-truncated dense steps
     from χ_src. *)
@@ -44,8 +53,9 @@ val truncated_walk :
     deg(v) = 0 or v unsupported. *)
 val rho : Dex_graph.Graph.t -> sparse -> int -> float
 
+(** [find p v] is the index [i] with [p.ids.(i) = v], if [v] is
+    supported; a binary search. *)
+val find : sparse -> int -> int option
+
 (** [mass p] is the total mass of a sparse distribution. *)
 val mass : sparse -> float
-
-(** [support p] is the supported vertex list, unsorted. *)
-val support : sparse -> int list

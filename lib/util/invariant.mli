@@ -3,7 +3,7 @@
     The model-conformance lint (rule D003, see [tools/lint]) forbids
     [failwith], [invalid_arg] and [assert false] inside the strict
     algorithm libraries ([lib/congest], [lib/ldd], [lib/routing],
-    [lib/expander]): an untyped [Failure]/[Invalid_argument] cannot be
+    [lib/expander], [lib/sparsecut], [lib/spectral]): an untyped [Failure]/[Invalid_argument] cannot be
     matched precisely by callers, so retry wrappers and test harnesses
     end up matching on message strings. Precondition failures in those libraries raise
     {!Violation} instead — a structured exception in the style of

@@ -35,15 +35,16 @@ let test_params_eps_b_halves () =
     let r = Params.eps_b p b /. Params.eps_b p (b + 1) in
     Alcotest.(check (float 1e-9)) "eps_b ratio 2" 2.0 r
   done;
-  Alcotest.check_raises "b out of range" (Invalid_argument "Params.eps_b: b out of range")
+  Alcotest.check_raises "b out of range"
+    (Dex_util.Invariant.Violation { where = "Params.eps_b"; what = "1 <= b <= ell" })
     (fun () -> ignore (Params.eps_b p 0))
 
 let test_params_validation () =
-  Alcotest.check_raises "phi too large"
-    (Invalid_argument "Params.make: phi must be in (0, 1/12]") (fun () ->
-      ignore (mk_params 0.2 100));
-  Alcotest.check_raises "phi zero" (Invalid_argument "Params.make: phi must be in (0, 1/12]")
-    (fun () -> ignore (mk_params 0.0 100))
+  let phi_range =
+    Dex_util.Invariant.Violation { where = "Params.make"; what = "phi in (0, 1/12]" }
+  in
+  Alcotest.check_raises "phi too large" phi_range (fun () -> ignore (mk_params 0.2 100));
+  Alcotest.check_raises "phi zero" phi_range (fun () -> ignore (mk_params 0.0 100))
 
 let test_params_caps () =
   let p = mk_params 0.05 1_000_000 in
@@ -373,7 +374,7 @@ let test_run_verified_validation () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
   Alcotest.check_raises "attempts must be >= 1"
-    (Invalid_argument "Partition.run_verified: attempts must be >= 1")
+    (Dex_util.Invariant.Violation { where = "Partition.run_verified"; what = "attempts >= 1" })
     (fun () ->
       ignore (Partition.run_verified ~attempts:0 ~bound:1.0 params g (Rng.create 1)))
 
@@ -414,7 +415,9 @@ let test_ppr_finds_barbell_cut () =
 
 let test_ppr_validation () =
   let g = Gen.path 4 in
-  Alcotest.check_raises "alpha" (Invalid_argument "Pagerank_cut: alpha in (0,1)")
+  Alcotest.check_raises "alpha"
+    (Dex_util.Invariant.Violation
+       { where = "Pagerank_cut.approximate_pagerank"; what = "alpha in (0, 1)" })
     (fun () -> ignore (Ppr.run ~alpha:1.5 g ~src:0))
 
 (* ---------- executed walk protocol ---------- *)
@@ -429,26 +432,25 @@ let test_walk_protocol_matches_central () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.15) in
   let eps = 1e-5 and steps = 8 in
   let net = Network.create g (Rounds.create ()) in
-  let pairs, rounds = Wp.run net ~src:3 ~eps ~steps in
+  let protocol, rounds = Wp.run net ~src:3 ~eps ~steps in
   Alcotest.(check int) "rounds = steps + 1" (steps + 1) rounds;
-  let protocol = Wp.distribution_table pairs in
   let central = (Walk.truncated_walk g ~src:3 ~eps ~steps).(steps) in
-  Alcotest.(check int) "same support" (Hashtbl.length central) (Hashtbl.length protocol);
-  Hashtbl.iter
-    (fun v x ->
-      let y = try Hashtbl.find protocol v with Not_found -> 0.0 in
-      Alcotest.(check (float 1e-12)) (Printf.sprintf "mass at %d" v) x y)
-    central
+  Alcotest.(check (array int)) "same support" central.Walk.ids protocol.Walk.ids;
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check (float 1e-12)) (Printf.sprintf "mass at %d" v) central.Walk.mass.(i)
+        protocol.Walk.mass.(i))
+    central.Walk.ids
 
 let test_walk_protocol_with_self_loops () =
   (* the saturated-subgraph case: self-loops keep their share *)
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 0) ] in
   let net = Network.create g (Rounds.create ()) in
-  let pairs, _ = Wp.run net ~src:0 ~eps:0.0 ~steps:1 in
-  let tbl = Wp.distribution_table pairs in
+  let p, _ = Wp.run net ~src:0 ~eps:0.0 ~steps:1 in
   (* deg 0 = 2 (loop + edge): stays 1/2 + loop 1/4 = 3/4; sends 1/4 *)
-  Alcotest.(check (float 1e-12)) "stay" 0.75 (Hashtbl.find tbl 0);
-  Alcotest.(check (float 1e-12)) "move" 0.25 (Hashtbl.find tbl 1)
+  Alcotest.(check (array int)) "support" [| 0; 1 |] p.Walk.ids;
+  Alcotest.(check (float 1e-12)) "stay" 0.75 p.Walk.mass.(0);
+  Alcotest.(check (float 1e-12)) "move" 0.25 p.Walk.mass.(1)
 
 let test_walk_protocol_charges_ledger () =
   let g = Gen.cycle 8 in
@@ -456,6 +458,93 @@ let test_walk_protocol_charges_ledger () =
   let net = Network.create g ledger in
   let _ = Wp.run net ~src:0 ~eps:1e-6 ~steps:5 in
   Alcotest.(check int) "ledger charged" 6 (Rounds.total ledger)
+
+(* ---------- recorded walk oracle ---------- *)
+
+(* golden/walks.json holds what the hash-table walk observed on three
+   graphs: every truncated-walk distribution, exact and approximate
+   nibble outcomes for b = 1, 2 and Partition for seeds 1-3. Floats are
+   recorded with %h, so the comparison is bit for bit. *)
+
+module Json = Dex_obs.Json
+
+let golden_graphs () =
+  let rng = Rng.create 11 in
+  let gnp = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.12) in
+  let barbell = Gen.barbell ~clique:8 ~bridge:2 in
+  let pp = Gen.planted_partition (Rng.create 12) ~parts:3 ~size:12 ~p_in:0.5 ~p_out:0.02 in
+  let saturated, _ = Graph.saturated_subgraph pp (Array.init 26 (fun v -> v)) in
+  [ ("gnp", gnp); ("barbell", barbell); ("saturated", saturated) ]
+
+let test_walks_golden () =
+  let ic = open_in_bin
+      (Filename.concat (Filename.dirname Sys.executable_name) "golden/walks.json") in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let records = match Json.parse text with Ok (Json.List l) -> l | _ -> assert false in
+  let get key r = Option.get (Json.member key r) in
+  let list key r = Option.get (Json.to_list (get key r)) in
+  let int key r = Option.get (Json.to_int (get key r)) in
+  let ints key r = Array.of_list (List.map (fun x -> Option.get (Json.to_int x)) (list key r)) in
+  let hexes key r = List.map (fun x -> Option.get (Json.to_str x)) (list key r) in
+  let hex x = Printf.sprintf "%h" x in
+  let graphs = golden_graphs () in
+  Alcotest.(check bool) "saturated graph has self-loops" true
+    (let g = List.assoc "saturated" graphs in
+     List.exists (fun v -> Graph.self_loops g v > 0) (List.init (Graph.num_vertices g) Fun.id));
+  List.iter
+    (fun r ->
+      let name = Option.get (Json.to_str (get "graph" r)) in
+      let g = List.assoc name graphs in
+      let label what = Printf.sprintf "%s %s" name what in
+      let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+      let walks = Walk.truncated_walk g ~src:0 ~eps:1e-3 ~steps:12 in
+      List.iteri
+        (fun t w ->
+          let p = walks.(t) in
+          let label what = label (Printf.sprintf "walk t=%d %s" t what) in
+          Alcotest.(check (array int)) (label "ids") (ints "ids" w) p.Walk.ids;
+          Alcotest.(check (list string)) (label "mass") (hexes "mass" w)
+            (Array.to_list (Array.map hex p.Walk.mass)))
+        (list "truncated_walk" r);
+      let check_outcomes variant run =
+        List.iter
+          (fun rec_b ->
+            let b = int "b" rec_b in
+            let o = run params g ~src:0 ~b in
+            let e = get "outcome" rec_b in
+            let label what = label (Printf.sprintf "%s b=%d %s" variant b what) in
+            (match (get "result" e, o.Nibble.result) with
+            | Json.Null, None -> ()
+            | Json.Null, Some _ | _, None -> Alcotest.fail (label "result presence")
+            | c, Some found ->
+              Alcotest.(check (array int)) (label "vertices") (ints "vertices" c)
+                found.Nibble.vertices;
+              Alcotest.(check int) (label "found_t") (int "found_t" c) found.Nibble.found_t;
+              Alcotest.(check int) (label "found_j") (int "found_j" c) found.Nibble.found_j;
+              Alcotest.(check string) (label "conductance")
+                (Option.get (Json.to_str (get "conductance" c))) (hex found.Nibble.conductance));
+            Alcotest.(check int) (label "steps") (int "steps_executed" e) o.Nibble.steps_executed;
+            Alcotest.(check int) (label "candidates") (int "candidates_tested" e)
+              o.Nibble.candidates_tested;
+            Alcotest.(check int) (label "rounds") (int "rounds" e) o.Nibble.rounds;
+            Alcotest.(check (array int)) (label "participants") (ints "participants" e)
+              o.Nibble.participants)
+          (list variant r)
+      in
+      check_outcomes "nibble" Nibble.nibble;
+      check_outcomes "approximate" Nibble.approximate;
+      List.iter
+        (fun e ->
+          let seed = int "seed" e in
+          let res = Partition.run params g (Rng.create seed) in
+          let label what = label (Printf.sprintf "partition seed %d %s" seed what) in
+          Alcotest.(check (array int)) (label "cut") (ints "cut" e) res.Partition.cut;
+          Alcotest.(check string) (label "conductance")
+            (Option.get (Json.to_str (get "conductance" e))) (hex res.Partition.conductance);
+          Alcotest.(check int) (label "rounds") (int "rounds" e) res.Partition.rounds)
+        (list "partition" r))
+    records
 
 (* ---------- sequential ST reference ---------- *)
 
@@ -565,6 +654,7 @@ let () =
             test_walk_protocol_matches_central;
           Alcotest.test_case "self loops" `Quick test_walk_protocol_with_self_loops;
           Alcotest.test_case "ledger" `Quick test_walk_protocol_charges_ledger ] );
+      ("golden", [ Alcotest.test_case "walks" `Quick test_walks_golden ]);
       ( "st-reference",
         [ Alcotest.test_case "dumbbell" `Quick test_st_reference_dumbbell;
           Alcotest.test_case "empty" `Quick test_st_reference_empty;

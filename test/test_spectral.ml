@@ -12,9 +12,9 @@ module Mixing = Dex_spectral.Mixing
 module Exact = Dex_spectral.Exact
 module Rng = Dex_util.Rng
 
-let sparse_to_dense n p =
+let sparse_to_dense n (p : Walk.sparse) =
   let a = Array.make n 0.0 in
-  Hashtbl.iter (fun v x -> a.(v) <- x) p;
+  Array.iteri (fun i v -> a.(v) <- p.mass.(i)) p.ids;
   a
 
 (* ---------- walk ---------- *)
@@ -31,9 +31,10 @@ let test_sparse_dense_agree () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:25 ~p:0.2) in
   let dense = ref (Array.init 25 (fun v -> if v = 3 then 1.0 else 0.0)) in
   let sparse = ref (Walk.indicator 3) in
+  let step = Walk.step g ~eps:0.0 in
   for _ = 1 to 8 do
     dense := Walk.step_dense g !dense;
-    sparse := Walk.step_sparse g !sparse
+    sparse := step !sparse
   done;
   let sd = sparse_to_dense 25 !sparse in
   Array.iteri
@@ -45,7 +46,7 @@ let test_sparse_dense_agree () =
     |> List.filter_map (fun (v, x) -> if x > 0.0 then Some v else None)
   in
   Alcotest.(check (list int)) "support matches dense positives" dense_support
-    (List.sort compare (Walk.support !sparse))
+    (Array.to_list !sparse.Walk.ids)
 
 let test_self_loop_mass_returns () =
   (* one vertex with a self-loop and a pendant: loop mass stays *)
@@ -64,11 +65,13 @@ let test_stationary_fixpoint () =
 
 let test_truncation () =
   let g = Gen.star 5 in
-  let p = Walk.indicator 0 in
-  Hashtbl.replace p 1 1e-9;
-  let q = Walk.truncate g ~eps:1e-6 p in
-  Alcotest.(check bool) "large kept" true (Hashtbl.mem q 0);
-  Alcotest.(check bool) "small dropped" false (Hashtbl.mem q 1)
+  (* from leaf 1 (deg 1): 1/2 stays, 1/2 reaches the centre 0 (deg 4);
+     eps = 0.1 keeps p(v) >= 0.2·deg(v), so the leaf's 1/2 stays and the
+     centre's 1/2 < 0.8 is dropped *)
+  let q = Walk.step g ~eps:0.1 (Walk.indicator 1) in
+  Alcotest.(check bool) "large kept" true (Walk.rho g q 1 > 0.0);
+  Alcotest.(check bool) "small dropped" false (Walk.rho g q 0 > 0.0);
+  Alcotest.(check (array int)) "support" [| 1 |] q.Walk.ids
 
 let test_truncated_below_exact () =
   let rng = Rng.create 3 in
@@ -225,7 +228,9 @@ let test_most_balanced_sparse_cut () =
     (Exact.most_balanced_sparse_cut (Gen.complete 8) ~phi:0.01 = None)
 
 let test_exact_too_large () =
-  Alcotest.check_raises "n > 24" (Invalid_argument "Exact: graph too large for subset enumeration")
+  Alcotest.check_raises "n > 24"
+    (Dex_util.Invariant.Violation
+       { where = "Exact.enumerate"; what = "graph too large for subset enumeration" })
     (fun () -> ignore (Exact.min_conductance (Gen.cycle 30)))
 
 let prop_mass_conserved_sparse =
@@ -234,11 +239,39 @@ let prop_mass_conserved_sparse =
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.2) in
+      let step = Walk.step g ~eps:0.0 in
       let p = ref (Walk.indicator (seed mod n)) in
       for _ = 1 to 5 do
-        p := Walk.step_sparse g !p
+        p := step !p
       done;
       Float.abs (Walk.mass !p -. 1.0) < 1e-9)
+
+(* the untruncated sparse step is the dense step restricted to its
+   support, bit for bit, self-loops included *)
+let prop_sparse_step_is_dense =
+  QCheck.Test.make ~name:"sparse step equals dense step bit for bit" ~count:60
+    QCheck.(pair (int_range 3 25) (int_bound 10_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let g = Gen.gnp rng ~n ~p:0.2 in
+      let g = Graph.with_self_loops g (Array.init n (fun _ -> Rng.int rng 3)) in
+      let step = Walk.step g ~eps:0.0 in
+      let sparse = ref (Walk.indicator (seed mod n)) in
+      let dense = ref (sparse_to_dense n !sparse) in
+      let same = ref true in
+      for _ = 1 to 6 do
+        sparse := step !sparse;
+        dense := Walk.step_dense g !dense;
+        let on_support = sparse_to_dense n !sparse in
+        let supported = Array.make n false in
+        Array.iter (fun v -> supported.(v) <- true) !sparse.Walk.ids;
+        Array.iteri
+          (fun v x ->
+            let expected = if supported.(v) then on_support.(v) else 0.0 in
+            if Int64.bits_of_float x <> Int64.bits_of_float expected then same := false)
+          !dense
+      done;
+      !same)
 
 let () =
   Alcotest.run "spectral"
@@ -250,7 +283,8 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "truncated ≤ exact" `Quick test_truncated_below_exact;
           Alcotest.test_case "rho symmetry (Lemma 3)" `Quick test_rho_symmetry;
-          QCheck_alcotest.to_alcotest prop_mass_conserved_sparse ] );
+          QCheck_alcotest.to_alcotest prop_mass_conserved_sparse;
+          QCheck_alcotest.to_alcotest prop_sparse_step_is_dense ] );
       ( "sweep",
         [ Alcotest.test_case "prefix stats match metrics" `Quick test_sweep_cut_matches_metrics;
           Alcotest.test_case "order decreasing" `Quick test_sweep_order_decreasing_rho;
