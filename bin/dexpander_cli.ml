@@ -190,7 +190,7 @@ let triangles_cmd =
     let nv = X.Graph.num_vertices g in
     Printf.printf "baselines: trivial=%d dlp-clique=%d izumi-le-gall=%d lower-bound=%d\n"
       (X.Triangle_baselines.trivial_rounds g)
-      (X.Triangle_baselines.dlp_clique_rounds g (X.Rng.create seed))
+      (X.Triangle_dlp.run g).X.Triangle_dlp.rounds
       (X.Triangle_baselines.izumi_le_gall_rounds ~n:nv)
       (X.Triangle_baselines.lower_bound_rounds ~n:nv)
   in
@@ -343,30 +343,38 @@ let trace_cmd =
     let trace = X.Trace.create ?sink () in
     let ledger = X.Rounds.create () in
     X.Rounds.attach_trace ledger (Some trace);
-    (match algo with
-    | `Decompose ->
-      let r = X.decompose ~ledger ~epsilon ~k g ~seed in
-      Printf.printf "decompose: parts=%d removed=%.2f%% rounds(makespan)=%d\n"
-        (List.length r.X.Decomposition.parts)
-        (100.0 *. r.X.Decomposition.edge_fraction_removed)
-        r.X.Decomposition.stats.X.Decomposition.rounds
-    | `Sparse_cut ->
-      let r = X.sparse_cut ~ledger ~phi g ~seed in
-      Printf.printf "sparse-cut: |C|=%d conductance=%s rounds=%d\n"
-        (Array.length r.X.Sparse_cut.cut)
-        (if Float.is_finite r.X.Sparse_cut.conductance then
-           Printf.sprintf "%.4f" r.X.Sparse_cut.conductance
-         else "inf")
+    let reported =
+      match algo with
+      | `Decompose ->
+        let r = X.decompose ~ledger ~epsilon ~k g ~seed in
+        let rounds = r.X.Decomposition.stats.X.Decomposition.rounds in
+        Printf.printf "decompose: parts=%d removed=%.2f%% rounds(makespan)=%d\n"
+          (List.length r.X.Decomposition.parts)
+          (100.0 *. r.X.Decomposition.edge_fraction_removed)
+          rounds;
+        rounds
+      | `Sparse_cut ->
+        let r = X.sparse_cut ~ledger ~phi g ~seed in
+        Printf.printf "sparse-cut: |C|=%d conductance=%s rounds=%d\n"
+          (Array.length r.X.Sparse_cut.cut)
+          (if Float.is_finite r.X.Sparse_cut.conductance then
+             Printf.sprintf "%.4f" r.X.Sparse_cut.conductance
+           else "inf")
+          r.X.Sparse_cut.rounds;
         r.X.Sparse_cut.rounds
-    | `Triangles ->
-      let r = X.enumerate_triangles ~ledger ~epsilon ~k g ~seed in
-      Printf.printf "triangles: found=%d complete=%b rounds(makespan)=%d\n"
-        (List.length r.X.Triangle_enum.triangles)
-        r.X.Triangle_enum.complete r.X.Triangle_enum.total_rounds);
+      | `Triangles ->
+        let r = X.enumerate_triangles ~ledger ~epsilon ~k g ~seed in
+        Printf.printf "triangles: found=%d complete=%b rounds(makespan)=%d\n"
+          (List.length r.X.Triangle_enum.triangles)
+          r.X.Triangle_enum.complete r.X.Triangle_enum.total_rounds;
+        r.X.Triangle_enum.total_rounds
+    in
     (match sink with Some oc -> close_out oc | None -> ());
     (* hierarchical span tree: every charge sits on a leaf, so the leaf
-       totals sum to the ledger total by construction *)
-    Printf.printf "\nspan tree (ledger rounds; sequential sum over components):\n";
+       totals sum to the ledger total by construction; the makespan
+       counts parallel components at their max and must equal the
+       algorithm's own round figure *)
+    Printf.printf "\nspan tree (ledger rounds):\n";
     let rec print_node indent (node : X.Rounds.tree) =
       Printf.printf "%s%s  %d rounds%s%s\n" indent node.X.Rounds.span node.X.Rounds.rounds
         (if node.X.Rounds.self > 0 && node.X.Rounds.children <> [] then
@@ -382,9 +390,11 @@ let trace_cmd =
     let rec leaf_sum (node : X.Rounds.tree) =
       node.X.Rounds.self + List.fold_left (fun acc c -> acc + leaf_sum c) 0 node.X.Rounds.children
     in
-    Printf.printf "  leaf-sum=%d ledger-total=%d%s\n" (leaf_sum tree)
-      (X.Rounds.total ledger)
-      (if leaf_sum tree = X.Rounds.total ledger then "" else "  MISMATCH");
+    let makespan = X.Rounds.makespan ledger in
+    let consistent = leaf_sum tree = X.Rounds.total ledger && makespan = reported in
+    Printf.printf "  leaf-sum=%d ledger-total=%d makespan=%d%s\n" (leaf_sum tree)
+      (X.Rounds.total ledger) makespan
+      (if consistent then "" else "  MISMATCH");
     (match X.Trace.top_edges trace top with
     | [] -> Printf.printf "\nno executed message traffic (all phases accounted)\n"
     | edges ->
@@ -403,9 +413,10 @@ let trace_cmd =
       (List.length (X.Trace.events trace))
       (X.Trace.dropped trace) (X.Trace.messages trace) (X.Trace.words trace)
       (X.Trace.faults trace) (X.Trace.retries trace);
-    match jsonl with
+    (match jsonl with
     | Some path -> Printf.printf "wrote JSONL events to %s\n" path
-    | None -> ()
+    | None -> ());
+    if not consistent then exit 1
   in
   Cmd.v
     (Cmd.info "trace"

@@ -51,7 +51,7 @@ let () =
     r.X.Triangle_enum.enumeration_rounds;
   Printf.printf "  trivial neighborhood flood:  %d\n" (X.Triangle_baselines.trivial_rounds g);
   Printf.printf "  DLP (CONGESTED-CLIQUE):      %d\n"
-    (X.Triangle_baselines.dlp_clique_rounds g (X.Rng.create (seed + 1)));
+    (X.Triangle_dlp.run g).X.Triangle_dlp.rounds;
   Printf.printf "  Izumi–Le Gall reference:     %d\n"
     (X.Triangle_baselines.izumi_le_gall_rounds ~n);
   Printf.printf "  Ω(n^{1/3}/log n) lower bound: %d\n"

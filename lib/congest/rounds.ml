@@ -9,6 +9,7 @@ type node = {
 
 type t = {
   mutable total : int;
+  mutable clock : int; (* makespan: charges advance it, parallel branches join at their max *)
   phases : (string, int) Hashtbl.t;
   root : node;
   mutable stack : node list; (* innermost open span first *)
@@ -21,6 +22,7 @@ let fresh_node name = { name; self = 0; wall_ns = 0; sub = [] }
 
 let create () =
   { total = 0;
+    clock = 0;
     phases = Hashtbl.create 16;
     root = fresh_node "total";
     stack = [];
@@ -42,6 +44,7 @@ let child_named parent name =
 let charge t ~label k =
   Dex_util.Invariant.require (k >= 0) ~where:"Rounds.charge" "negative round count";
   t.total <- t.total + k;
+  t.clock <- t.clock + k;
   let prev = try Hashtbl.find t.phases label with Not_found -> 0 in
   Hashtbl.replace t.phases label (prev + k);
   let leaf = child_named (current t) label in
@@ -76,6 +79,30 @@ let with_span t name f =
     f
 
 let total t = t.total
+let makespan t = t.clock
+
+let parallel t f xs =
+  let start = t.clock in
+  t.clock <-
+    List.fold_left
+      (fun finish x ->
+        t.clock <- start;
+        f x;
+        max finish t.clock)
+      start xs
+
+let retry t ~label ~attempts f =
+  Dex_util.Invariant.require (attempts >= 1) ~where:"Rounds.retry" "attempts must be >= 1";
+  let start = t.clock in
+  let rec go i =
+    let value, certified = f i in
+    Option.iter (fun tr -> Trace.retry tr ~label ~attempt:i ~certified) t.trace;
+    if certified then (Ok value, i)
+    else if i >= attempts then (Error value, i)
+    else go (i + 1)
+  in
+  let outcome, used = go 1 in
+  (outcome, used, t.clock - start)
 
 let by_phase t =
   (* descending by cost, ties broken on label: iteration is already
@@ -93,14 +120,3 @@ let tree t =
     { span = node.name; rounds; self = node.self; wall_ns = node.wall_ns; children }
   in
   freeze t.root
-
-let merge ~into src =
-  Dex_util.Table.iter_sorted (fun label k -> charge into ~label k) src.phases
-
-let reset t =
-  t.total <- 0;
-  Hashtbl.reset t.phases;
-  t.root.self <- 0;
-  t.root.wall_ns <- 0;
-  t.root.sub <- [];
-  t.stack <- []

@@ -8,15 +8,22 @@
     their actual round loop; accounted phases charge the measured cost
     of the primitive they stand for (see DESIGN.md §2).
 
-    Two views of the same charges coexist:
+    Three views of the same charges coexist:
 
-    - the {e flat} view ({!by_phase}): per-label totals, unchanged from
-      the original ledger — every existing caller keeps working;
+    - the {e flat} view ({!by_phase}): per-label totals;
     - the {e tree} view ({!tree}): components may wrap work in
       {!with_span}, and every charge is then attributed to a leaf named
       by its label under the innermost open span, so the nested
       Phase-1/Phase-2 structure of a decomposition becomes visible.
-      Leaf round totals always sum to {!total} by construction.
+      Leaf round totals always sum to {!total} by construction;
+    - the {e clock} ({!makespan}): the simulated round count of the
+      whole computation. Every charge advances it, so sequential work
+      adds; branches run through {!parallel} start from the same
+      instant and the clock resumes at the latest of them, so
+      concurrent components cost their maximum. {!total} is the
+      sequential sum of every charge, [makespan ≤ total], with
+      equality when no {!parallel} ran. An algorithm reports its
+      rounds as the change in makespan across its call.
 
     Spans also self-profile the simulator: each span accumulates the
     wall-clock nanoseconds spent inside its body, and when a
@@ -39,7 +46,7 @@ val trace : t -> Dex_obs.Trace.t option
 
 (** [charge t ~label k] adds [k] rounds under [label], both to the flat
     per-label table and to the leaf [label] under the innermost open
-    span. Raises [Dex_util.Invariant.Violation] on negative [k]. *)
+    span, and advances the clock by [k]. Raises [Dex_util.Invariant.Violation] on negative [k]. *)
 val charge : t -> label:string -> int -> unit
 
 (** [with_span t name f] runs [f ()] inside a span [name] nested under
@@ -52,6 +59,28 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 
 (** [total t] is the number of rounds charged so far. *)
 val total : t -> int
+
+(** [makespan t] is the clock: rounds charged so far with the branches
+    of every {!parallel} counted at their maximum. *)
+val makespan : t -> int
+
+(** [parallel t f xs] runs [f x] for each [x] of [xs] in order, each
+    branch starting from the clock at the call; the clock is then left
+    at the largest branch's end (unchanged for an empty list). It opens
+    no span and leaves {!total}, {!by_phase} and {!tree} to the
+    branches' own charges. *)
+val parallel : t -> ('a -> unit) -> 'a list -> unit
+
+(** [retry t ~label ~attempts f] is the Las Vegas loop: it calls
+    [f 1], [f 2], … where [f i] returns [(value, certified)], and stops
+    at the first certified attempt or after [attempts] of them. Each
+    attempt emits one retry event labeled [label] on the attached
+    trace, if any. The result is [Ok value] of the certified attempt
+    or [Error value] of the last one, the attempts used, and the
+    makespan the attempts added. Raises [Dex_util.Invariant.Violation]
+    when [attempts < 1]. *)
+val retry :
+  t -> label:string -> attempts:int -> (int -> 'a * bool) -> ('a, 'a) result * int * int
 
 (** [by_phase t] aggregates charges per label, descending by cost;
     equal costs are ordered by label, so the listing is deterministic. *)
@@ -67,12 +96,3 @@ type tree = { span : string; rounds : int; self : int; wall_ns : int; children :
 (** [tree t] is the hierarchical view of every charge, rooted at a
     synthetic ["total"] node with [rounds = total t]. *)
 val tree : t -> tree
-
-(** [merge ~into src] adds all of [src]'s flat charges into [into]
-    (under [into]'s currently open span; [src]'s span structure is not
-    copied). *)
-val merge : into:t -> t -> unit
-
-(** [reset t] zeroes the ledger, including the span tree. Open spans
-    are abandoned; the attached trace, if any, is kept. *)
-val reset : t -> unit

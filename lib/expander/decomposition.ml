@@ -37,12 +37,11 @@ type driver = {
   schedule : Schedule.t;
   preset : Params.preset;
   rng : Rng.t;
-  ledger : Rounds.t option; (* observability ledger, when the caller passed one *)
+  ledger : Rounds.t; (* its makespan is the round count *)
   mutable remove1 : int;
   mutable remove2 : int;
   mutable remove3 : int;
   mutable removed : (int * int) list;
-  mutable rounds : int;
   mutable messages : int;
   mutable words : int;
   mutable partition_calls : int;
@@ -50,10 +49,6 @@ type driver = {
   mutable phase2_components : int;
   mutable phase2_max_iterations : int;
 }
-
-(* runs [f] in a named ledger span when observability is on *)
-let in_span d name f =
-  match d.ledger with Some l -> Rounds.with_span l name f | None -> f ()
 
 let remove_edges_tracked d kind edges =
   let plain = List.filter (fun (u, v) -> u <> v) edges in
@@ -74,16 +69,15 @@ let sparse_cut_on d ~phi members =
   let gu, mapping = Graph.saturated_subgraph d.current members in
   let m = max 1 (Graph.num_edges gu) in
   let params = Schedule.params_for ~preset:d.preset ~phi ~m () in
-  let res = Partition.run ?ledger:d.ledger params gu d.rng in
+  let res = Partition.run ~ledger:d.ledger params gu d.rng in
   d.partition_calls <- d.partition_calls + 1;
   let cut = res.Partition.cut in
-  let rounds = res.Partition.rounds in
-  if Array.length cut = 0 then (`Empty, rounds)
+  if Array.length cut = 0 then `Empty
   else begin
     let bound = Schedule.h_of ~preset:d.preset ~n:d.schedule.Schedule.n phi in
     if res.Partition.conductance > bound then begin
       d.discarded <- d.discarded + 1;
-      (`Empty, rounds)
+      `Empty
     end
     else begin
       let original = Vertex.Map.translate (Vertex.Map.of_array mapping) cut in
@@ -96,7 +90,7 @@ let sparse_cut_on d ~phi members =
         if 2 * vol_cut > Graph.total_volume gu then Metrics.set_difference members original
         else original
       in
-      (`Cut (original, res.Partition.conductance), rounds)
+      `Cut (original, res.Partition.conductance)
     end
   end
 
@@ -130,7 +124,7 @@ let incident_edges d inside =
     inside;
   List.sort_uniq compare_edge !acc
 
-(* ---- Phase 2 (one component): returns (rounds, iterations) ---- *)
+(* ---- Phase 2 (one component): returns its iteration count ---- *)
 let phase2 d members =
   let sched = d.schedule in
   let eps = sched.Schedule.epsilon in
@@ -141,7 +135,6 @@ let phase2 d members =
   let m_level l = m1 /. (tau ** float_of_int (l - 1)) in
   let level = ref 1 in
   let remaining = ref (Array.copy members) in
-  let rounds = ref 0 in
   let iterations = ref 0 in
   let finished = ref false in
   (* the paper bounds the per-level iteration count by 2τ; the cap
@@ -150,9 +143,7 @@ let phase2 d members =
   while (not !finished) && Array.length !remaining > 0 && !iterations < iteration_cap do
     incr iterations;
     let phi = sched.Schedule.phi.(min k !level) in
-    let verdict, cost = sparse_cut_on d ~phi !remaining in
-    rounds := !rounds + cost;
-    (match verdict with
+    (match sparse_cut_on d ~phi !remaining with
     | `Empty -> finished := true
     | `Cut (cut, _cond) ->
       let vol_c = float_of_int (volume_of d cut) in
@@ -164,10 +155,12 @@ let phase2 d members =
         remaining := Metrics.set_difference !remaining cut
       end)
   done;
-  (!rounds, !iterations)
+  !iterations
 
 (* ---- Phase 1 (level-synchronous recursion) ---- *)
 let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
+  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
+  let start = Rounds.makespan ledger in
   let schedule = Schedule.make ~preset ~epsilon ~k g in
   let d =
     { current = g;
@@ -179,7 +172,6 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
       remove2 = 0;
       remove3 = 0;
       removed = [];
-      rounds = 0;
       messages = 0;
       words = 0;
       partition_calls = 0;
@@ -192,22 +184,23 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
   (* initial active set: connected components of the input *)
   let active = ref (Metrics.connected_components g) in
   let depth = ref 0 in
-  in_span d "decompose" (fun () ->
-      in_span d "phase1" (fun () ->
+  (* components of one depth, their clusters, and the Phase-2
+     components each run in parallel: a depth costs its slowest *)
+  Rounds.with_span ledger "decompose" (fun () ->
+      Rounds.with_span ledger "phase1" (fun () ->
           while !active <> [] && !depth < schedule.Schedule.d do
             incr depth;
             depth_reached := !depth;
             let next = ref [] in
-            let level_cost = ref 0 in
-            in_span d (Printf.sprintf "level-%d" !depth) (fun () ->
-                List.iter
+            Rounds.with_span ledger (Printf.sprintf "level-%d" !depth) (fun () ->
+                Rounds.parallel ledger
                   (fun members ->
                     if Array.length members > 1 then begin
                       (* Step 1: low-diameter decomposition of G{U}; Remove-1 *)
                       let gu, mapping = Graph.saturated_subgraph d.current members in
                       let mapping = Vertex.Map.of_array mapping in
                       let ldd =
-                        Ldd.run_graph ?ledger:d.ledger ~vertex_map:mapping gu
+                        Ldd.run_graph ~ledger ~vertex_map:mapping gu
                           ~beta:schedule.Schedule.beta d.rng
                       in
                       d.messages <- d.messages + ldd.Ldd.messages;
@@ -219,16 +212,11 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
                       let clusters =
                         List.map (Vertex.Map.translate mapping) ldd.Ldd.parts
                       in
-                      (* Step 2: sparse cut per cluster; clusters run concurrently *)
-                      let cluster_cost = ref 0 in
-                      List.iter
+                      (* Step 2: sparse cut per cluster *)
+                      Rounds.parallel ledger
                         (fun cluster ->
-                          if Array.length cluster > 1 then begin
-                            let verdict, cost =
-                              sparse_cut_on d ~phi:schedule.Schedule.phi.(0) cluster
-                            in
-                            cluster_cost := max !cluster_cost cost;
-                            match verdict with
+                          if Array.length cluster > 1 then
+                            match sparse_cut_on d ~phi:schedule.Schedule.phi.(0) cluster with
                             | `Empty -> () (* finished component *)
                             | `Cut (cut, _) ->
                               let vol_c = volume_of d cut in
@@ -245,30 +233,23 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
                                 remove_edges_tracked d `Remove2 (cut_edges_between d cut);
                                 let rest = Metrics.set_difference cluster cut in
                                 next := cut :: rest :: !next
-                              end
-                          end)
-                        clusters;
-                      level_cost := max !level_cost (ldd.Ldd.rounds + !cluster_cost)
+                              end)
+                        clusters
                     end)
                   !active);
-            d.rounds <- d.rounds + !level_cost;
             active := !next
           done);
-      (* Phase 2: all queued components run concurrently *)
-      in_span d "phase2" (fun () ->
-          let phase2_cost = ref 0 in
-          List.iter
+      Rounds.with_span ledger "phase2" (fun () ->
+          Rounds.parallel ledger
             (fun members ->
               d.phase2_components <- d.phase2_components + 1;
-              let cost, iters =
-                in_span d
+              let iters =
+                Rounds.with_span ledger
                   (Printf.sprintf "component-%d" d.phase2_components)
                   (fun () -> phase2 d members)
               in
-              if iters > d.phase2_max_iterations then d.phase2_max_iterations <- iters;
-              if cost > !phase2_cost then phase2_cost := cost)
-            !phase2_queue;
-          d.rounds <- d.rounds + !phase2_cost));
+              if iters > d.phase2_max_iterations then d.phase2_max_iterations <- iters)
+            !phase2_queue));
   (* final parts = connected components of the remaining graph *)
   let parts = Metrics.connected_components d.current in
   let part_of = Array.make (Graph.num_vertices g) (-1) in
@@ -283,7 +264,7 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
     schedule;
     stats =
       { removals = { remove1 = d.remove1; remove2 = d.remove2; remove3 = d.remove3 };
-        rounds = d.rounds;
+        rounds = Rounds.makespan ledger - start;
         messages = d.messages;
         words = d.words;
         phase1_depth = !depth_reached;

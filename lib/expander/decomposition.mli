@@ -48,14 +48,16 @@ type result = {
   stats : stats;
 }
 
-(** [run ?preset ?ledger ~epsilon ~k g rng] decomposes [g]. When
-    [ledger] is given the run is structured into spans —
-    ["decompose"] containing ["phase1"] (with one ["level-<d>"] span
-    per recursion depth) and ["phase2"] (one ["component-<i>"] span
-    per trimmed component) — and every executed or accounted round is
-    charged there. Note the ledger then accumulates the {e sequential
-    sum} of all component costs, while [stats.rounds] remains the
-    parallel makespan (concurrent components counted at their max). *)
+(** [run ?preset ?ledger ~epsilon ~k g rng] decomposes [g]. The run
+    is structured into ledger spans — ["decompose"] containing
+    ["phase1"] (with one ["level-<d>"] span per recursion depth) and
+    ["phase2"] (one ["component-<i>"] span per trimmed component) —
+    and every executed or accounted round is charged to [ledger]
+    (a private one when none is given). Components of one depth, their
+    clusters and the Phase-2 components run under
+    {!Dex_congest.Rounds.parallel}, so [stats.rounds] is the change in
+    the ledger's makespan across the call, while the ledger's total
+    and span tree sum every component's cost. *)
 val run :
   ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->

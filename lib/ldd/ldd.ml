@@ -15,7 +15,7 @@ type t = {
 let run ?ka ?kb net ~beta rng =
   let g = Network.graph net in
   let ledger = Network.rounds net in
-  let before = Rounds.total ledger in
+  let before = Rounds.makespan ledger in
   let msgs_before = Network.messages_sent net in
   let words_before = Network.words_sent net in
   let refine = Refine.run ?ka ?kb g ~beta in
@@ -31,7 +31,7 @@ let run ?ka ?kb net ~beta rng =
       then cut := (u, v) :: !cut);
   let remaining = Graph.remove_edges g !cut in
   let parts = Metrics.connected_components remaining in
-  let after = Rounds.total ledger in
+  let after = Rounds.makespan ledger in
   { parts;
     cut_edges = !cut;
     rounds = after - before;

@@ -21,8 +21,8 @@ type t = {
 }
 
 (** [run ?ka ?kb net ~beta rng] executes the decomposition on the
-    network's graph; rounds are charged to the network ledger as well
-    as reported in the result. [ka]/[kb] are the refinement radius
+    network's graph; rounds are charged to the network ledger, and
+    [rounds] is the change in its makespan across the call. [ka]/[kb] are the refinement radius
     constants (see {!Refine.run}; both default 5, the paper's
     values). *)
 val run :

@@ -1,7 +1,6 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
 module Rounds = Dex_congest.Rounds
-module Trace = Dex_obs.Trace
 
 type t = {
   cut : int array;
@@ -12,11 +11,8 @@ type t = {
   aborted_copies : int;
 }
 
-(* runs [f] inside a ledger span when a ledger is present *)
-let in_span ledger name f =
-  match ledger with Some l -> Rounds.with_span l name f | None -> f ()
-
 let run ?p ?ledger params g rng =
+  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   let n = Graph.num_vertices g in
   let total_volume = Graph.total_volume g in
   let p =
@@ -32,13 +28,13 @@ let run ?p ?ledger params g rng =
       iterations = 0;
       aborted_copies = 0 }
   else
-    in_span ledger "partition" @@ fun () ->
+    Rounds.with_span ledger "partition" @@ fun () ->
+    let start = Rounds.makespan ledger in
     let s = Params.partition_iterations params ~volume:total_volume ~p in
     let threshold = 47 * total_volume / 48 in
     let in_w = Array.make n true in
     let w_volume = ref total_volume in
     let removed = ref [] in
-    let rounds = ref 0 in
     let iterations = ref 0 in
     let aborted = ref 0 in
     let idle = ref 0 in
@@ -49,8 +45,7 @@ let run ?p ?ledger params g rng =
       if Array.length w = 0 then continue := false
       else begin
         let gw, mapping = Graph.saturated_subgraph g w in
-        let pn = Parallel_nibble.run ?ledger params gw rng in
-        rounds := !rounds + pn.Parallel_nibble.rounds;
+        let pn = Parallel_nibble.run ~ledger params gw rng in
         if pn.Parallel_nibble.aborted then incr aborted;
         let cut = pn.Parallel_nibble.cut in
         (* a nibble prefix may be the large side of its cut (C.3-star
@@ -88,7 +83,7 @@ let run ?p ?ledger params g rng =
     { cut;
       conductance;
       balance;
-      rounds = !rounds;
+      rounds = Rounds.makespan ledger - start;
       iterations = !iterations;
       aborted_copies = !aborted }
 
@@ -101,32 +96,21 @@ let acceptable ~bound t =
 
 let run_verified ?(attempts = 3) ?p ?ledger ~bound params g rng =
   Dex_util.Invariant.require (attempts >= 1) ~where:"Partition.run_verified" "attempts >= 1";
-  let module Rng = Dex_util.Rng in
-  let retry certified i =
-    match ledger with
-    | Some l ->
-      (match Rounds.trace l with
-      | Some tr -> Trace.retry tr ~label:"sparse-cut" ~attempt:i ~certified
-      | None -> ())
-    | None -> ()
-  in
-  let rounds_total = ref 0 in
+  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   let best = ref None in
-  let rec go i =
-    let r =
-      in_span ledger (Printf.sprintf "attempt-%d" i) @@ fun () ->
-      run ?p ?ledger params g (Rng.split rng i)
-    in
-    rounds_total := !rounds_total + r.rounds;
-    (match !best with
-    | Some b when b.conductance <= r.conductance -> ()
-    | _ -> best := Some r);
-    let ok = acceptable ~bound r in
-    retry ok i;
-    if ok then Ok { value = r; attempts = i; rounds_total = !rounds_total }
-    else if i >= attempts then
-      let b = match !best with Some b -> b | None -> r in
-      Error { value = b; attempts = i; rounds_total = !rounds_total }
-    else go (i + 1)
+  let outcome, attempts, rounds_total =
+    Rounds.retry ledger ~label:"sparse-cut" ~attempts (fun i ->
+        let r =
+          Rounds.with_span ledger (Printf.sprintf "attempt-%d" i) @@ fun () ->
+          run ?p ~ledger params g (Dex_util.Rng.split rng i)
+        in
+        (match !best with
+        | Some b when b.conductance <= r.conductance -> ()
+        | _ -> best := Some r);
+        (r, acceptable ~bound r))
   in
-  go 1
+  match outcome with
+  | Ok value -> Ok { value; attempts; rounds_total }
+  | Error last ->
+    let value = Option.value !best ~default:last in
+    Error { value; attempts; rounds_total }

@@ -25,9 +25,11 @@ type t = {
 
 (** [run ?p ?ledger params g rng] executes Partition(G, φ, p); [p] is
     the failure probability driving the iteration count (default 1/n²).
-    When [ledger] is given the body runs inside a ["partition"] span
-    and the accounted ParallelNibble costs are charged to it (labels
-    ["nibble-generate"/"nibble-execute"/"nibble-select"]). *)
+    The body runs inside a ["partition"] span of [ledger] (a private
+    one when none is given) and the accounted ParallelNibble costs are
+    charged to it (labels
+    ["nibble-generate"/"nibble-execute"/"nibble-select"]); [rounds] is
+    the change in its makespan. *)
 val run :
   ?p:float -> ?ledger:Dex_congest.Rounds.t ->
   Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t

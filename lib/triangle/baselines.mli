@@ -5,10 +5,8 @@
     - {b trivial CONGEST}: every vertex ships its adjacency list to
       every neighbor, then checks wedges locally. The round cost is
       the worst per-edge load: max_v ⌈(Σ_{u∈N(v)} deg u)/deg v⌉.
-    - {b Dolev–Lenzen–Peled} (CONGESTED-CLIQUE): the deterministic
-      n^{1/3} partition algorithm; rounds measured from the actual
-      group-pair edge counts of the input graph with all-to-all
-      bandwidth n-1 words/round.
+    - {b Dolev–Lenzen–Peled} (CONGESTED-CLIQUE): executed by
+      {!Dlp.run}, whose [rounds] field is the clique-model line.
     - {b Izumi–Le Gall} CONGEST bound Õ(n^{3/4}): included as the
       analytic reference line c·n^{3/4}·log n (their algorithm
       pre-dates expander decompositions and is not reimplemented;
@@ -16,10 +14,6 @@
 
 (** [trivial_rounds g] — measured, the all-neighborhood exchange. *)
 val trivial_rounds : Dex_graph.Graph.t -> int
-
-(** [dlp_clique_rounds g rng] — measured on a uniformly random group
-    assignment with g = ⌈n^{1/3}⌉ groups. *)
-val dlp_clique_rounds : Dex_graph.Graph.t -> Dex_util.Rng.t -> int
 
 (** [izumi_le_gall_rounds ~n] = ⌈n^{3/4}·log₂ n⌉. *)
 val izumi_le_gall_rounds : n:int -> int

@@ -2,7 +2,6 @@ module Graph = Dex_graph.Graph
 module Decomposition = Dex_decomp.Decomposition
 module Hierarchy = Dex_routing.Hierarchy
 module Rounds = Dex_congest.Rounds
-module Trace = Dex_obs.Trace
 module Rng = Dex_util.Rng
 
 type level_report = {
@@ -31,17 +30,12 @@ let instances_for ~n ~incident ~volume =
   max 1 (int_of_float (Float.ceil (3.0 *. float_of_int groups *. float_of_int incident /. float_of_int (max 1 volume))))
 
 let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng =
-  let in_span name f =
-    match ledger with Some l -> Rounds.with_span l name f | None -> f ()
-  in
-  let charge label k =
-    match ledger with Some l -> Rounds.charge l ~label k | None -> ()
-  in
+  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
+  let start = Rounds.makespan ledger in
   let n = Graph.num_vertices g in
   let ground_truth = Exact.enumerate g in
   let detected = Hashtbl.create (2 * List.length ground_truth + 16) in
   let levels = ref [] in
-  let total_rounds = ref 0 in
   let enumeration_rounds = ref 0 in
   let messages = ref 0 in
   let words = ref 0 in
@@ -51,13 +45,12 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
     2 * max 1 (int_of_float (Float.ceil (log (Float.max 2.0 (float_of_int (Graph.num_edges g))) /. log 2.0)))
   in
   let continue = ref (Graph.num_plain_edges g > 0) in
-  in_span "triangles" @@ fun () ->
+  Rounds.with_span ledger "triangles" @@ fun () ->
   while !continue && !level < max_levels do
     incr level;
-    in_span (Printf.sprintf "level-%d" !level) @@ fun () ->
+    Rounds.with_span ledger (Printf.sprintf "level-%d" !level) @@ fun () ->
     let gcur = !current in
-    let decomp = Decomposition.run ?preset ?ledger ~epsilon ~k:k_decomp gcur rng in
-    total_rounds := !total_rounds + decomp.Decomposition.stats.Decomposition.rounds;
+    let decomp = Decomposition.run ?preset ~ledger ~epsilon ~k:k_decomp gcur rng in
     messages := !messages + decomp.Decomposition.stats.Decomposition.messages;
     words := !words + decomp.Decomposition.stats.Decomposition.words;
     let part_of = decomp.Decomposition.part_of in
@@ -99,10 +92,9 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
           end
         end)
       decomp.Decomposition.parts;
-    total_rounds := !total_rounds + !max_pre + !max_query;
     enumeration_rounds := !enumeration_rounds + !max_pre + !max_query;
-    charge "routing-preprocess" !max_pre;
-    charge "routing-query" !max_query;
+    Rounds.charge ledger ~label:"routing-preprocess" !max_pre;
+    Rounds.charge ledger ~label:"routing-query" !max_query;
     levels :=
       { level = !level;
         edges = Graph.num_plain_edges gcur;
@@ -126,9 +118,8 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       let rest = Exact.enumerate next in
       List.iter (fun t -> Hashtbl.replace detected t ()) rest;
       let cost = Baselines.trivial_rounds next in
-      total_rounds := !total_rounds + cost;
       enumeration_rounds := !enumeration_rounds + cost;
-      charge "residual-trivial" cost;
+      Rounds.charge ledger ~label:"residual-trivial" cost;
       continue := false
     end
     else current := next
@@ -136,7 +127,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
   let triangles = Dex_util.Table.keys_sorted detected in
   { triangles;
     levels = List.rev !levels;
-    total_rounds = !total_rounds;
+    total_rounds = Rounds.makespan ledger - start;
     enumeration_rounds = !enumeration_rounds;
     messages = !messages;
     words = !words;
@@ -145,23 +136,14 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
 type attempt_outcome = { value : result; attempts : int; rounds_total : int }
 
 let run_verified ?preset ?ledger ?epsilon ?k_decomp ?k_routing ?(attempts = 3) g rng =
-  if attempts < 1 then invalid_arg "Expander_enum.run_verified: attempts must be >= 1";
-  let retry certified i =
-    match ledger with
-    | Some l ->
-      (match Rounds.trace l with
-      | Some tr -> Trace.retry tr ~label:"triangles" ~attempt:i ~certified
-      | None -> ())
-    | None -> ()
+  Dex_util.Invariant.require (attempts >= 1) ~where:"Expander_enum.run_verified"
+    "attempts must be >= 1";
+  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
+  let outcome, attempts, rounds_total =
+    Rounds.retry ledger ~label:"triangles" ~attempts (fun i ->
+        let r = run ?preset ~ledger ?epsilon ?k_decomp ?k_routing g (Rng.split rng i) in
+        (r, r.complete))
   in
-  let rounds_total = ref 0 in
-  let rec go i =
-    let r = run ?preset ?ledger ?epsilon ?k_decomp ?k_routing g (Rng.split rng i) in
-    rounds_total := !rounds_total + r.total_rounds;
-    retry r.complete i;
-    if r.complete then Ok { value = r; attempts = i; rounds_total = !rounds_total }
-    else if i >= attempts then
-      Error { value = r; attempts = i; rounds_total = !rounds_total }
-    else go (i + 1)
-  in
-  go 1
+  match outcome with
+  | Ok value -> Ok { value; attempts; rounds_total }
+  | Error value -> Error { value; attempts; rounds_total }

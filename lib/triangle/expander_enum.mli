@@ -78,7 +78,8 @@ type attempt_outcome = { value : result; attempts : int; rounds_total : int }
     a miss, up to [attempts] times (default 3). [Error] carries the
     last attempt — typed failure, no exception. With a [ledger]
     carrying a trace, each verdict emits a retry event labeled
-    ["triangles"]. *)
+    ["triangles"]. Raises [Dex_util.Invariant.Violation] when
+    [attempts < 1]. *)
 val run_verified :
   ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->

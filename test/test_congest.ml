@@ -35,15 +35,71 @@ let test_rounds_ledger () =
   Rounds.charge r ~label:"zz" 7;
   Alcotest.(check (list (pair string int))) "by phase sorted" [ ("zz", 7); ("a", 5); ("b", 5) ]
     (Rounds.by_phase r);
-  let r2 = Rounds.create () in
-  Rounds.charge r2 ~label:"c" 1;
-  Rounds.merge ~into:r r2;
-  Alcotest.(check int) "merged" 18 (Rounds.total r);
-  Rounds.reset r;
-  Alcotest.(check int) "reset" 0 (Rounds.total r);
   Alcotest.check_raises "negative"
     (Dex_util.Invariant.Violation { where = "Rounds.charge"; what = "negative round count" })
     (fun () -> Rounds.charge r ~label:"x" (-1))
+
+let test_makespan () =
+  let r = Rounds.create () in
+  Rounds.charge r ~label:"a" 3;
+  Rounds.charge r ~label:"b" 4;
+  Alcotest.(check int) "sequential charges add" 7 (Rounds.makespan r);
+  Rounds.parallel r (fun k -> Rounds.charge r ~label:"p" k) [ 5; 9; 2 ];
+  Alcotest.(check int) "branches join at their max" 16 (Rounds.makespan r);
+  Alcotest.(check int) "total sums the branches" 23 (Rounds.total r);
+  (* a branch that itself forks: 1 + max (2, 6) = 7 against a flat 4 *)
+  Rounds.parallel r
+    (function
+      | `Fork ->
+        Rounds.charge r ~label:"q" 1;
+        Rounds.parallel r (fun k -> Rounds.charge r ~label:"q" k) [ 2; 6 ]
+      | `Flat -> Rounds.charge r ~label:"q" 4)
+    [ `Fork; `Flat ];
+  Alcotest.(check int) "nested parallel" 23 (Rounds.makespan r);
+  Alcotest.(check int) "nested total" 36 (Rounds.total r);
+  Rounds.parallel r (fun k -> Rounds.charge r ~label:"z" k) [];
+  Alcotest.(check int) "empty list adds 0" 23 (Rounds.makespan r);
+  Rounds.charge r ~label:"a" 10;
+  Alcotest.(check int) "later charge continues from the max" 33 (Rounds.makespan r);
+  Alcotest.(check (list (pair string int))) "by phase ignores the clock"
+    [ ("p", 16); ("a", 13); ("q", 13); ("b", 4) ]
+    (Rounds.by_phase r)
+
+let test_retry () =
+  let run ~attempts ~certify_at =
+    let r = Rounds.create () in
+    let tr = Trace.create () in
+    Rounds.attach_trace r (Some tr);
+    Rounds.charge r ~label:"before" 100;
+    let outcome, used, rounds =
+      Rounds.retry r ~label:"probe" ~attempts (fun i ->
+          Rounds.charge r ~label:"attempt" (10 * i);
+          (i, i >= certify_at))
+    in
+    let events =
+      List.filter_map
+        (function
+          | Trace.Retry { label; attempt; certified } -> Some (label, attempt, certified)
+          | _ -> None)
+        (Trace.events tr)
+    in
+    (outcome, used, rounds, events)
+  in
+  let outcome, used, rounds, events = run ~attempts:5 ~certify_at:2 in
+  Alcotest.(check (result int int)) "stops at the first certified" (Ok 2) outcome;
+  Alcotest.(check int) "attempts used" 2 used;
+  Alcotest.(check int) "makespan added" 30 rounds;
+  Alcotest.(check (list (triple string int bool))) "one event per attempt"
+    [ ("probe", 1, false); ("probe", 2, true) ]
+    events;
+  let outcome, used, rounds, events = run ~attempts:3 ~certify_at:9 in
+  Alcotest.(check (result int int)) "budget exhausted: last value" (Error 3) outcome;
+  Alcotest.(check int) "whole budget used" 3 used;
+  Alcotest.(check int) "every attempt counted" 60 rounds;
+  Alcotest.(check int) "three events" 3 (List.length events);
+  Alcotest.check_raises "attempts >= 1"
+    (Invariant.Violation { where = "Rounds.retry"; what = "attempts must be >= 1" })
+    (fun () -> ignore (Rounds.retry (Rounds.create ()) ~label:"x" ~attempts:0 (fun i -> (i, true))))
 
 (* ---------- message passing ---------- *)
 
@@ -323,7 +379,10 @@ let prop_bfs_depth_eq_distance =
 
 let () =
   Alcotest.run "congest"
-    [ ("ledger", [ Alcotest.test_case "rounds ledger" `Quick test_rounds_ledger ]);
+    [ ( "ledger",
+        [ Alcotest.test_case "rounds ledger" `Quick test_rounds_ledger;
+          Alcotest.test_case "makespan and parallel" `Quick test_makespan;
+          Alcotest.test_case "retry" `Quick test_retry ] );
       ( "kernel",
         [ Alcotest.test_case "basic exchange" `Quick test_basic_exchange;
           Alcotest.test_case "rejects non-neighbor" `Quick test_rejects_non_neighbor;

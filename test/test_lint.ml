@@ -94,6 +94,7 @@ let test_scope_d003_only_protocol_layers () =
   check_rules "expander" [ "D003" ] (lint ~path:"lib/expander/x.ml" src);
   check_rules "sparsecut" [ "D003" ] (lint ~path:"lib/sparsecut/x.ml" src);
   check_rules "spectral" [ "D003" ] (lint ~path:"lib/spectral/x.ml" src);
+  check_rules "triangle" [ "D003" ] (lint ~path:"lib/triangle/x.ml" src);
   check_rules "util exempt" [] (lint ~path:"lib/util/x.ml" src);
   check_rules "graph exempt" [] (lint ~path:"lib/graph/x.ml" src)
 

@@ -15,6 +15,7 @@ module Vertex = Dex_graph.Vertex
 module Faults = Dex_congest.Faults
 module Decomposition = Dex_decomp.Decomposition
 module Las_vegas = Dex_decomp.Las_vegas
+module Enum = Dex_triangle.Expander_enum
 module Rng = Dex_util.Rng
 
 (* ---------- JSON codec ---------- *)
@@ -151,6 +152,33 @@ let test_tree_consistency () =
     r.Decomposition.stats.Decomposition.messages (Trace.messages tr);
   Alcotest.(check int) "trace words = stats.words"
     r.Decomposition.stats.Decomposition.words (Trace.words tr)
+
+(* ---------- the ledger's makespan is each algorithm's round count ---------- *)
+
+let test_makespan_matches_reported () =
+  let r, ledger, _ = traced_decompose ~seed:11 in
+  Alcotest.(check int) "decompose: makespan = stats.rounds"
+    r.Decomposition.stats.Decomposition.rounds (Rounds.makespan ledger);
+  let g = Gen.gnp (Rng.create 5) ~n:60 ~p:0.1 in
+  let ledger = Rounds.create () in
+  let total_rounds =
+    match Las_vegas.decompose ~ledger ~epsilon:(1.0 /. 6.0) ~k:2 g (Rng.create 1) with
+    | Ok o -> o.Las_vegas.total_rounds
+    | Error f -> f.Las_vegas.total_rounds
+  in
+  Alcotest.(check int) "las vegas: makespan = total_rounds" total_rounds
+    (Rounds.makespan ledger);
+  let g = Gen.connectivize (Rng.create 3) (Gen.gnp (Rng.create 3) ~n:40 ~p:0.25) in
+  let ledger = Rounds.create () in
+  let a =
+    match Enum.run_verified ~ledger ~attempts:2 g (Rng.create 4) with Ok a | Error a -> a
+  in
+  Alcotest.(check int) "triangles: makespan = rounds_total" a.Enum.rounds_total
+    (Rounds.makespan ledger);
+  let ledger = Rounds.create () in
+  let r = Enum.run ~ledger g (Rng.create 4) in
+  Alcotest.(check int) "triangles: makespan = total_rounds" r.Enum.total_rounds
+    (Rounds.makespan ledger)
 
 (* ---------- per-edge congestion histogram ---------- *)
 
@@ -455,6 +483,9 @@ let () =
             test_span_tree_deterministic;
           Alcotest.test_case "tree/by_phase/total consistency" `Quick
             test_tree_consistency ] );
+      ( "makespan",
+        [ Alcotest.test_case "equals the reported rounds" `Quick test_makespan_matches_reported ]
+      );
       ( "congestion",
         [ Alcotest.test_case "hot edges on a star" `Quick test_hot_edges_star;
           Alcotest.test_case "round ticks" `Quick test_round_ticks ] );
