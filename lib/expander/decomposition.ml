@@ -105,13 +105,12 @@ let compare_edge (a1, b1) (a2, b2) =
   match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
 let cut_edges_between d inside =
-  let mask = Hashtbl.create (2 * Array.length inside) in
-  Array.iter (fun v -> Hashtbl.replace mask v ()) inside;
+  let mask = Metrics.mask_of d.current inside in
   let acc = ref [] in
   Array.iter
     (fun v ->
       Graph.iter_neighbors d.current v (fun u ->
-          if not (Hashtbl.mem mask u) then acc := (min u v, max u v) :: !acc))
+          if not mask.(u) then acc := (min u v, max u v) :: !acc))
     inside;
   List.sort_uniq compare_edge !acc
 

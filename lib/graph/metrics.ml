@@ -66,27 +66,16 @@ let is_sparse_cut g ~phi s =
 
 let connected_components g =
   let n = Graph.num_vertices g in
+  let search = Bfs.create g in
   let seen = Array.make n false in
   let comps = ref [] in
-  let queue = Queue.create () in
   for src = 0 to n - 1 do
     if not seen.(src) then begin
-      seen.(src) <- true;
-      Queue.clear queue;
-      Queue.add src queue;
-      let members = ref [ src ] in
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Graph.iter_neighbors g v (fun u ->
-            if not seen.(u) then begin
-              seen.(u) <- true;
-              members := u :: !members;
-              Queue.add u queue
-            end)
-      done;
-      let arr = Array.of_list !members in
-      Array.sort Int.compare arr;
-      comps := arr :: !comps
+      Bfs.run search [| src |];
+      let members = Array.init (Bfs.reached search) (Bfs.nth search) in
+      Array.iter (fun v -> seen.(v) <- true) members;
+      Array.sort Int.compare members;
+      comps := members :: !comps
     end
   done;
   List.sort (fun a b -> Int.compare (Array.length b) (Array.length a)) !comps
@@ -95,46 +84,31 @@ let is_connected g =
   match connected_components g with [] | [ _ ] -> true | _ -> false
 
 let bfs_multi_distances g srcs =
-  let n = Graph.num_vertices g in
-  let dist = Array.make n max_int in
-  let queue = Queue.create () in
-  Array.iter
-    (fun s ->
-      if dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        Queue.add s queue
-      end)
-    srcs;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    Graph.iter_neighbors g v (fun u ->
-        if dist.(u) = max_int then begin
-          dist.(u) <- dist.(v) + 1;
-          Queue.add u queue
-        end)
-  done;
-  dist
+  let search = Bfs.create g in
+  Bfs.run search srcs;
+  Array.init (Graph.num_vertices g) (Bfs.dist search)
 
 let bfs_distances g src = bfs_multi_distances g [| src |]
 
-let eccentricity g v =
-  let dist = bfs_distances g v in
+(* largest eccentricity over [vs] inside [within] (a set of [size]
+   vertices); a search's farthest vertex is the last one it reached *)
+let max_eccentricity ?within g vs ~size ~where =
+  let search = Bfs.create g in
   Array.fold_left
-    (fun acc d ->
-      if d = max_int then failwith "Metrics.eccentricity: disconnected graph"
-      else max acc d)
-    0 dist
+    (fun acc v ->
+      Bfs.run ?within search [| v |];
+      let reached = Bfs.reached search in
+      if reached < size then failwith (where ^ ": disconnected graph");
+      max acc (Bfs.dist search (Bfs.nth search (reached - 1))))
+    0 vs
+
+let eccentricity g v =
+  max_eccentricity g [| v |] ~size:(Graph.num_vertices g) ~where:"Metrics.eccentricity"
 
 let diameter g =
   let n = Graph.num_vertices g in
   if n <= 1 then 0
-  else begin
-    let best = ref 0 in
-    for v = 0 to n - 1 do
-      best := max !best (eccentricity g v)
-    done;
-    !best
-  end
+  else max_eccentricity g (Array.init n Fun.id) ~size:n ~where:"Metrics.eccentricity"
 
 let diameter_2sweep g =
   let n = Graph.num_vertices g in
@@ -158,8 +132,8 @@ let diameter_2sweep g =
 
 let subset_diameter g s =
   if Array.length s = 0 then failwith "Metrics.subset_diameter: empty subset";
-  let sub, _ = Graph.induced_subgraph g s in
-  diameter sub
+  max_eccentricity ~within:(mask_of g s) g s ~size:(Array.length s)
+    ~where:"Metrics.subset_diameter"
 
 let degeneracy g =
   let n = Graph.num_vertices g in

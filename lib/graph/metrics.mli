@@ -34,7 +34,10 @@ val balance : Graph.t -> int array -> float
     non-degenerate. *)
 val is_sparse_cut : Graph.t -> phi:float -> int array -> bool
 
-(** {1 Connectivity and distances} *)
+(** {1 Connectivity and distances}
+
+    All of these run on {!Bfs}; they stay the sequential oracle the
+    executed CONGEST BFS is tested against. *)
 
 (** [connected_components g] lists components as sorted vertex arrays,
     largest first. *)
@@ -64,8 +67,9 @@ val diameter : Graph.t -> int
 val diameter_2sweep : Graph.t -> int
 
 (** [subset_diameter g s] is the diameter of [G\[S\]] (hop distance
-    inside the induced subgraph); raises [Failure] if [G\[S\]] is
-    disconnected or [s] is empty. *)
+    inside the induced subgraph), found by {!Bfs} searches on [g]
+    masked to [s]; raises [Failure] if [G\[S\]] is disconnected or [s]
+    is empty. *)
 val subset_diameter : Graph.t -> int array -> int
 
 (** {1 Density} *)

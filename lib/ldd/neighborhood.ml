@@ -1,55 +1,48 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
+module Bfs = Dex_graph.Bfs
 module Invariant = Dex_util.Invariant
+
+(* edges with both endpoints reached by the last search; self-loops of
+   reached vertices count as edges of the ball *)
+let reached_edges g search =
+  let count = ref 0 in
+  for i = 0 to Bfs.reached search - 1 do
+    let x = Bfs.nth search i in
+    count := !count + Graph.self_loops g x;
+    let adj = Graph.neighbors g x in
+    for j = 0 to Array.length adj - 1 do
+      if adj.(j) > x && Bfs.mem search adj.(j) then incr count
+    done
+  done;
+  !count
 
 let ball_edge_count g ~d v =
   Invariant.require (d >= 0) ~where:"Neighborhood.ball_edge_count" "radius d >= 0";
-  (* depth-bounded BFS collecting the ball, then count internal edges;
-     self-loops of ball members count as edges of the ball *)
-  let dist = Hashtbl.create 64 in
-  Hashtbl.replace dist v 0;
-  let queue = Queue.create () in
-  Queue.add v queue;
-  while not (Queue.is_empty queue) do
-    let x = Queue.take queue in
-    let dx = Hashtbl.find dist x in
-    if dx < d then
-      Graph.iter_neighbors g x (fun y ->
-          if not (Hashtbl.mem dist y) then begin
-            Hashtbl.replace dist y (dx + 1);
-            Queue.add y queue
-          end)
-  done;
-  let count = ref 0 in
-  Dex_util.Table.iter_sorted
-    (fun x _ ->
-      count := !count + Graph.self_loops g x;
-      Graph.iter_neighbors g x (fun y ->
-          if (y > x || (y = x)) && Hashtbl.mem dist y then incr count))
-    dist;
-  !count
+  let search = Bfs.create g in
+  Bfs.run ~limit:d search [| v |];
+  reached_edges g search
 
 let all_ball_edge_counts g ~d =
-  let n = Graph.num_vertices g in
-  let out = Array.make n 0 in
-  let comps = Metrics.connected_components g in
+  Invariant.require (d >= 0) ~where:"Neighborhood.all_ball_edge_counts" "radius d >= 0";
+  let out = Array.make (Graph.num_vertices g) 0 in
+  let search = Bfs.create g in
   List.iter
     (fun comp ->
-      (* total edges inside the component *)
-      let mask = Metrics.mask_of g comp in
-      let total = ref 0 in
-      Graph.iter_edges g (fun u v -> if mask.(u) && (u = v || mask.(v)) then incr total);
+      (* one unbounded search gives the component's edge total and the
+         representative's eccentricity (its last vertex is farthest) *)
+      Bfs.run search [| comp.(0) |];
+      let total = reached_edges g search in
+      let ecc = Bfs.dist search (Bfs.nth search (Bfs.reached search - 1)) in
       (* if the radius covers the component, every ball is the component *)
-      let representative = comp.(0) in
-      let ecc =
-        let dist = Metrics.bfs_distances g representative in
-        Array.fold_left
-          (fun acc v -> max acc (if dist.(v) = max_int then 0 else dist.(v)))
-          0 (Array.init (Array.length comp) (fun i -> comp.(i)))
-      in
-      if d >= 2 * ecc then Array.iter (fun v -> out.(v) <- !total) comp
-      else Array.iter (fun v -> out.(v) <- ball_edge_count g ~d v) comp)
-    comps;
+      if d >= 2 * ecc then Array.iter (fun v -> out.(v) <- total) comp
+      else
+        Array.iter
+          (fun v ->
+            Bfs.run ~limit:d search [| v |];
+            out.(v) <- reached_edges g search)
+          comp)
+    (Metrics.connected_components g);
   out
 
 let lemma16_rounds ~n ~d ~f =

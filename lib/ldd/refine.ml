@@ -1,5 +1,6 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
+module Bfs = Dex_graph.Bfs
 module Union_find = Dex_util.Union_find
 module Invariant = Dex_util.Invariant
 
@@ -10,33 +11,6 @@ type t = {
   iterations : int;
   rounds : int;
 }
-
-(* multi-source BFS restricted to depth [limit]; returns (dist, label)
-   where label is the source-set label of the nearest source *)
-let labeled_bfs g sources labels ~limit =
-  let n = Graph.num_vertices g in
-  let dist = Array.make n max_int in
-  let label = Array.make n (-1) in
-  let queue = Queue.create () in
-  Array.iteri
-    (fun i v ->
-      if dist.(v) <> 0 then begin
-        dist.(v) <- 0;
-        label.(v) <- labels.(i);
-        Queue.add v queue
-      end)
-    sources;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    if dist.(v) < limit then
-      Graph.iter_neighbors g v (fun u ->
-          if dist.(u) = max_int then begin
-            dist.(u) <- dist.(v) + 1;
-            label.(u) <- label.(v);
-            Queue.add u queue
-          end)
-  done;
-  (dist, label)
 
 let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
   Invariant.require (beta > 0.0 && beta < 1.0) ~where:"Refine.run" "beta must be in (0, 1)";
@@ -57,14 +31,15 @@ let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
        V'_D members then satisfy near > far/b ≥ far/2b as required. *)
     let in_vd_aux = Array.init n (fun v -> b * near.(v) > far.(v)) in
     (* W_0 = radius-a ball around V'_D *)
-    let vd_aux = Metrics.vertices_of_mask in_vd_aux in
+    let search = Bfs.create g in
     let in_w = Array.make n false in
-    if Array.length vd_aux > 0 then begin
-      let dist0, _ =
-        labeled_bfs g vd_aux (Array.map (fun _ -> 0) vd_aux) ~limit:a
-      in
-      Array.iteri (fun v d -> if d <> max_int && d <= a then in_w.(v) <- true) dist0
-    end;
+    let add_reached () =
+      for i = 0 to Bfs.reached search - 1 do
+        in_w.(Bfs.nth search i) <- true
+      done
+    in
+    Bfs.run ~limit:a search (Metrics.vertices_of_mask in_vd_aux);
+    add_reached ();
     rounds := !rounds + a;
     (* grow W: merge components within distance a, inflate by radius a *)
     let iterations = ref 0 in
@@ -77,36 +52,29 @@ let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
         (* component labels inside W *)
         let comp_of = Array.make n (-1) in
         let comps = ref 0 in
-        let queue = Queue.create () in
         Array.iter
           (fun src ->
             if comp_of.(src) = -1 then begin
-              let c = !comps in
-              incr comps;
-              comp_of.(src) <- c;
-              Queue.add src queue;
-              while not (Queue.is_empty queue) do
-                let v = Queue.take queue in
-                Graph.iter_neighbors g v (fun u ->
-                    if in_w.(u) && comp_of.(u) = -1 then begin
-                      comp_of.(u) <- c;
-                      Queue.add u queue
-                    end)
-              done
+              Bfs.run ~within:in_w search [| src |];
+              for i = 0 to Bfs.reached search - 1 do
+                comp_of.(Bfs.nth search i) <- !comps
+              done;
+              incr comps
             end)
           w;
-        let labels = Array.map (fun v -> comp_of.(v)) w in
-        let dist, label = labeled_bfs g w labels ~limit:a in
+        (* the radius-a halo of W, each vertex labelled with the
+           component of the source whose wave reached it first *)
+        Bfs.run ~limit:a search w;
+        let label x = comp_of.(w.(Bfs.origin search x)) in
         (* two components merge when some edge joins their ≤a halos *)
         let uf = Union_find.create !comps in
         let merged_any = ref false in
         Graph.iter_edges g (fun x y ->
             if
-              x <> y && label.(x) >= 0 && label.(y) >= 0
-              && label.(x) <> label.(y)
-              && dist.(x) <> max_int && dist.(y) <> max_int
-              && dist.(x) + dist.(y) + 1 <= a
-            then if Union_find.union uf label.(x) label.(y) then merged_any := true);
+              x <> y && Bfs.mem search x && Bfs.mem search y
+              && label x <> label y
+              && Bfs.dist search x + Bfs.dist search y + 1 <= a
+            then if Union_find.union uf (label x) (label y) then merged_any := true);
         rounds := !rounds + (2 * a);
         if not !merged_any then stable := true
         else begin
@@ -118,10 +86,8 @@ let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
           done;
           let inflating c = group_size.(Union_find.find uf c) > 1 in
           let sources = Array.of_list (List.filter (fun v -> inflating comp_of.(v)) (Array.to_list w)) in
-          let dist2, _ = labeled_bfs g sources (Array.map (fun _ -> 0) sources) ~limit:a in
-          Array.iteri
-            (fun v d -> if d <> max_int && d <= a then in_w.(v) <- true)
-            dist2;
+          Bfs.run ~limit:a search sources;
+          add_reached ();
           rounds := !rounds + (2 * a)
         end
       end
@@ -139,7 +105,6 @@ let vd_components g t =
   end
 
 let check g t =
-  let n = Graph.num_vertices g in
   (* V_D component diameters are O(ab): use the invariant-H bound
      10·a·N_S with N_S ≤ 2b, i.e. 20·a·b *)
   List.iter
@@ -151,11 +116,9 @@ let check g t =
     (vd_components g t);
   (* V_S density: |E(N^a(v))| ≤ |E|/b *)
   let m = Graph.num_edges g in
-  for v = 0 to n - 1 do
-    if not t.in_vd.(v) then begin
-      let c = Neighborhood.ball_edge_count g ~d:t.a v in
-      if c * t.b > m then
-        Invariant.failf ~where:"Refine.check" "V_S vertex %d has dense ball (%d > %d/%d)" v c
-          m t.b
-    end
-  done
+  Array.iteri
+    (fun v c ->
+      if (not t.in_vd.(v)) && c * t.b > m then
+        Invariant.failf ~where:"Refine.check" "V_S vertex %d has dense ball (%d > %d/%d)" v c m
+          t.b)
+    (Neighborhood.all_ball_edge_counts g ~d:t.a)

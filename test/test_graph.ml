@@ -4,6 +4,7 @@
 
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
+module Bfs = Dex_graph.Bfs
 module Gen = Dex_graph.Generators
 module Rng = Dex_util.Rng
 
@@ -154,7 +155,34 @@ let test_multi_source_bfs () =
   let g = Gen.path 10 in
   let dist = Metrics.bfs_multi_distances g [| 0; 9 |] in
   Alcotest.(check int) "middle" 4 dist.(4);
-  Alcotest.(check int) "near right" 1 dist.(8)
+  Alcotest.(check int) "near right" 1 dist.(8);
+  let search = Bfs.create g in
+  (* a vertex at distance [limit] is reached but not expanded *)
+  Bfs.run ~limit:2 search [| 5 |];
+  Alcotest.(check int) "ball of radius 2" 5 (Bfs.reached search);
+  Alcotest.(check int) "limit vertex reached" 2 (Bfs.dist search 7);
+  Alcotest.(check bool) "beyond limit not reached" false (Bfs.mem search 8);
+  Alcotest.(check int) "last reached is farthest" 2 (Bfs.dist search (Bfs.nth search 4));
+  (* the mask blocks vertex 3, so the left end is cut off *)
+  let within = Array.init 10 (fun v -> v <> 3) in
+  Bfs.run ~within search [| 5 |];
+  Alcotest.(check int) "mask respected" 6 (Bfs.reached search);
+  Alcotest.(check bool) "masked vertex" false (Bfs.mem search 3);
+  Alcotest.(check bool) "behind the mask" false (Bfs.mem search 0);
+  Alcotest.(check int) "inside the mask" 4 (Bfs.dist search 9);
+  (* vertex 4 is two steps from both sources: the first listed wins;
+     the repeated source 2 keeps index 0 *)
+  Bfs.run search [| 2; 6; 2 |];
+  Alcotest.(check int) "tie goes to first source" 0 (Bfs.origin search 4);
+  Alcotest.(check int) "right wave" 1 (Bfs.origin search 9);
+  Alcotest.(check int) "repeated source keeps first index" 0 (Bfs.origin search 2);
+  Alcotest.(check int) "repeat reached once" 10 (Bfs.reached search);
+  (* reuse: a small run after a large one leaves no stale vertex *)
+  Bfs.run ~limit:0 search [| 0 |];
+  Alcotest.(check int) "single source" 1 (Bfs.reached search);
+  Alcotest.(check int) "stale dist" max_int (Bfs.dist search 9);
+  Alcotest.(check int) "stale origin" (-1) (Bfs.origin search 9);
+  Alcotest.(check bool) "stale mem" false (Bfs.mem search 6)
 
 let test_degeneracy () =
   Alcotest.(check int) "tree degeneracy" 1 (Metrics.degeneracy (Gen.binary_tree 4));

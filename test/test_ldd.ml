@@ -102,7 +102,15 @@ let test_ball_edge_count () =
   Alcotest.(check int) "radius 1" 2 (Neighborhood.ball_edge_count g ~d:1 5);
   Alcotest.(check int) "radius 2" 4 (Neighborhood.ball_edge_count g ~d:2 5);
   Alcotest.(check int) "radius 0" 0 (Neighborhood.ball_edge_count g ~d:0 5);
-  Alcotest.(check int) "whole graph" 9 (Neighborhood.ball_edge_count g ~d:20 5)
+  Alcotest.(check int) "whole graph" 9 (Neighborhood.ball_edge_count g ~d:20 5);
+  Alcotest.check_raises "negative radius"
+    (Dex_util.Invariant.Violation
+       { where = "Neighborhood.ball_edge_count"; what = "radius d >= 0" })
+    (fun () -> ignore (Neighborhood.ball_edge_count g ~d:(-1) 5));
+  Alcotest.check_raises "negative radius, all balls"
+    (Dex_util.Invariant.Violation
+       { where = "Neighborhood.all_ball_edge_counts"; what = "radius d >= 0" })
+    (fun () -> ignore (Neighborhood.all_ball_edge_counts g ~d:(-1)))
 
 let test_ball_counts_with_loops () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 1) ] in
@@ -117,6 +125,31 @@ let test_all_ball_counts_match_single () =
     Alcotest.(check int) (Printf.sprintf "v=%d" v) (Neighborhood.ball_edge_count g ~d:2 v)
       all.(v)
   done
+
+let prop_all_ball_counts_by_distance =
+  (* two disjoint random graphs with random self-loops: every count is
+     the number of edges, loops included, with both endpoints within
+     distance d *)
+  QCheck.Test.make ~name:"all ball counts = edges within distance d" ~count:100
+    QCheck.(triple (int_range 2 40) (int_bound 10_000) (int_range 0 5))
+    (fun (n, seed, d) ->
+      let rng = Rng.create seed in
+      let left = n / 2 in
+      let side k = Graph.edges (Gen.gnp rng ~n:k ~p:0.15) in
+      let edges =
+        side left @ List.map (fun (u, v) -> (u + left, v + left)) (side (n - left))
+      in
+      let g =
+        Graph.with_self_loops (Graph.of_edges ~n edges) (Array.init n (fun _ -> Rng.int rng 2))
+      in
+      let counts = Neighborhood.all_ball_edge_counts g ~d in
+      List.length (Metrics.connected_components g) >= 2
+      && Array.for_all Fun.id
+           (Array.init n (fun v ->
+                let dist = Metrics.bfs_distances g v in
+                let inside = ref 0 in
+                Graph.iter_edges g (fun x y -> if dist.(x) <= d && dist.(y) <= d then incr inside);
+                counts.(v) = !inside)))
 
 let test_lemma16_rounds_positive () =
   Alcotest.(check bool) "positive" true (Neighborhood.lemma16_rounds ~n:100 ~d:5 ~f:0.5 > 0);
@@ -152,6 +185,39 @@ let test_refine_vs_density () =
         Alcotest.(check bool) "V_S ball sparse" true (c * t.Refine.b <= m)
       end)
     t.Refine.in_vd
+
+(* a path of 800 with 30-cliques hung at path vertices 200, 220 and
+   247 (each clique shares its anchor, so 887 vertices): the cliques
+   are dense at radius a, their halos overlap, and W merges and
+   inflates twice before it stabilises *)
+let path_with_cliques () =
+  let edges = ref (List.init 799 (fun i -> (i, i + 1))) in
+  List.iteri
+    (fun k anchor ->
+      let members = Array.append [| anchor |] (Array.init 29 (fun i -> 800 + (29 * k) + i)) in
+      Array.iteri
+        (fun i u -> Array.iteri (fun j v -> if i < j then edges := (u, v) :: !edges) members)
+        members)
+    [ 200; 220; 247 ];
+  Graph.of_edges ~n:887 !edges
+
+let test_refine_growth_loop () =
+  let g = path_with_cliques () in
+  Alcotest.(check int) "m" 2104 (Graph.num_edges g);
+  let t = Refine.run ~ka:0.3 ~kb:1.0 g ~beta:0.5 in
+  Alcotest.(check int) "a" 5 t.Refine.a;
+  Alcotest.(check int) "b" 14 t.Refine.b;
+  Alcotest.(check (array int)) "V_D = path 181..261 plus the cliques"
+    (Array.append (Array.init 81 (fun i -> 181 + i)) (Array.init 87 (fun i -> 800 + i)))
+    (Metrics.vertices_of_mask t.Refine.in_vd);
+  Alcotest.(check int) "iterations" 3 t.Refine.iterations;
+  Alcotest.(check int) "rounds" 1898 t.Refine.rounds;
+  Refine.check g t;
+  let r = Ldd.run_graph ~ka:0.3 ~kb:1.0 g ~beta:0.5 (Rng.create 1) in
+  Alcotest.(check int) "parts" 259 (List.length r.Ldd.parts);
+  Alcotest.(check int) "cut edges" 258 (List.length r.Ldd.cut_edges);
+  Alcotest.(check int) "ldd rounds" 1926 r.Ldd.rounds;
+  Alcotest.(check int) "max part diameter" 84 (Ldd.max_part_diameter g r)
 
 (* ---------- end-to-end LDD ---------- *)
 
@@ -248,12 +314,14 @@ let () =
         [ Alcotest.test_case "ball edge count" `Quick test_ball_edge_count;
           Alcotest.test_case "loops counted" `Quick test_ball_counts_with_loops;
           Alcotest.test_case "bulk matches single" `Quick test_all_ball_counts_match_single;
-          Alcotest.test_case "lemma 16 rounds" `Quick test_lemma16_rounds_positive ] );
+          Alcotest.test_case "lemma 16 rounds" `Quick test_lemma16_rounds_positive;
+          QCheck_alcotest.to_alcotest prop_all_ball_counts_by_distance ] );
       ( "refine",
         [ Alcotest.test_case "invariants on path" `Quick test_refine_invariants_on_path;
           Alcotest.test_case "low-diameter graph ⇒ V_D = V" `Quick
             test_refine_low_diameter_graph_all_vd;
-          Alcotest.test_case "V_S density" `Quick test_refine_vs_density ] );
+          Alcotest.test_case "V_S density" `Quick test_refine_vs_density;
+          Alcotest.test_case "growth loop merges and inflates" `Quick test_refine_growth_loop ] );
       ( "end-to-end",
         [ Alcotest.test_case "run on a network" `Quick test_ldd_run_on_network;
           Alcotest.test_case "partition & diameter" `Quick test_ldd_partition_and_diameter;
