@@ -590,9 +590,10 @@ let e10_micro () =
   let cyc = X.Generators.cycle 4096 in
   let dist = X.Walk.degree_distribution g in
   let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:4 in
-  (* bound once: the staged closure times a step, not the allocation
-     of the step's O(n) scratch *)
+  (* bound once: the staged closures time a step and a sweep, not the
+     allocation of their O(n) scratch *)
   let step = X.Walk.step g in
+  let scan = X.Sweep.scan g in
   (* tracing-overhead pair: the same 8-round flood on the same cycle,
      one network with no trace attached, one with round ticks + edge
      histograms live. The plain variant is the zero-overhead claim of
@@ -622,7 +623,7 @@ let e10_micro () =
     [ Test.make ~name:"walk-step-dense" (Staged.stage (fun () -> X.Walk.step_dense g dist));
       Test.make ~name:"walk-step-sparse"
         (Staged.stage (fun () -> step ~eps:0.0 sparse.(4)));
-      Test.make ~name:"sweep-scan" (Staged.stage (fun () -> X.Sweep.scan g sparse.(4)));
+      Test.make ~name:"sweep-scan" (Staged.stage (fun () -> scan sparse.(4)));
       Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));
       Test.make ~name:"triangle-count" (Staged.stage (fun () -> X.Triangles.count g));
       Test.make ~name:"gnp-generate"

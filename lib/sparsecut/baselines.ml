@@ -23,7 +23,7 @@ let of_sweep g sweep =
   Option.map
     (fun (pref : Sweep.prefix) ->
       let vertices = Sweep.take sweep pref.Sweep.len in
-      Array.sort compare vertices;
+      Array.sort Int.compare vertices;
       { vertices;
         conductance = pref.Sweep.conductance;
         balance = Metrics.balance g vertices;
@@ -50,11 +50,12 @@ let dsmp ?walk_length g rng =
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
     let step = Dex_spectral.Walk.step g ~eps:0.0 in
+    let best_cut = Sweep.best_cut g in
     let p = ref (Dex_spectral.Walk.indicator src) in
     let best = ref None in
     for _ = 1 to steps do
       p := step !p;
-      match Sweep.best_cut g !p with
+      match best_cut !p with
       | None -> ()
       | Some (sweep, j) ->
         let pref = sweep.Sweep.prefixes.(j - 1) in
@@ -62,7 +63,7 @@ let dsmp ?walk_length g rng =
         | Some (bc, _, _) when bc <= pref.Sweep.conductance -> ()
         | _ ->
           let vertices = Sweep.take sweep j in
-          Array.sort compare vertices;
+          Array.sort Int.compare vertices;
           best := Some (pref.Sweep.conductance, vertices, ()))
     done;
     Option.map

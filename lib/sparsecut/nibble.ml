@@ -31,7 +31,7 @@ let candidate_cost ~t ~support = (ceil_log2 (float_of_int (max 2 support)) + 1) 
 
 let cut_of_prefix sweep (pref : Sweep.prefix) ~t =
   let vertices = Sweep.take sweep pref.Sweep.len in
-  Array.sort compare vertices;
+  Array.sort Int.compare vertices;
   { vertices;
     volume = pref.Sweep.volume;
     cut_edges = pref.Sweep.cut;
@@ -47,23 +47,29 @@ type conditions = {
 }
 
 (* ‖next − p‖₁, summed over the ids of [next] ascending, then over the
-   ids supported only in [p] ascending *)
+   ids supported only in [p] ascending, each pass a two-pointer merge *)
 let l1_change (next : Walk.sparse) (p : Walk.sparse) =
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i v ->
-      let y = match Walk.find p v with Some j -> p.mass.(j) | None -> 0.0 in
-      acc := !acc +. Float.abs (next.mass.(i) -. y))
-    next.ids;
-  Array.iteri
-    (fun j v -> if Option.is_none (Walk.find next v) then acc := !acc +. p.mass.(j))
-    p.ids;
+  let j = ref 0 in
+  for i = 0 to Array.length next.ids - 1 do
+    let v = next.ids.(i) in
+    while !j < Array.length p.ids && p.ids.(!j) < v do incr j done;
+    let y = if !j < Array.length p.ids && p.ids.(!j) = v then p.mass.(!j) else 0.0 in
+    acc := !acc +. Float.abs (next.mass.(i) -. y)
+  done;
+  let i = ref 0 in
+  for j = 0 to Array.length p.ids - 1 do
+    let v = p.ids.(j) in
+    while !i < Array.length next.ids && next.ids.(!i) < v do incr i done;
+    if not (!i < Array.length next.ids && next.ids.(!i) = v) then acc := !acc +. p.mass.(j)
+  done;
   !acc
 
 let run_generic (params : Params.t) g ~src ~b ~select =
   Dex_util.Invariant.require (b >= 1 && b <= params.ell) ~where:"Nibble.run" "1 <= b <= ell";
   let total_volume = Graph.total_volume g in
   let step = Walk.step g ~eps:(Params.eps_b params b) in
+  let scan = Sweep.scan g in
   let seen = Array.make (Graph.num_vertices g) false in
   let note_support (p : Walk.sparse) = Array.iter (fun v -> seen.(v) <- true) p.ids in
   let p = ref (Walk.indicator src) in
@@ -118,7 +124,7 @@ let run_generic (params : Params.t) g ~src ~b ~select =
     p := next;
     note_support !p;
     if Array.length !p.ids > 0 && Params.should_sweep params !t then begin
-      let sweep = Sweep.scan g !p in
+      let sweep = scan !p in
       match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
       | None -> ()
       | Some cut ->
@@ -132,7 +138,7 @@ let run_generic (params : Params.t) g ~src ~b ~select =
   (* on early convergence, one last sweep in case the stride skipped
      the fixpoint step *)
   if !result = None && !converged && Array.length !p.ids > 0 then begin
-    let sweep = Sweep.scan g !p in
+    let sweep = scan !p in
     match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
     | None -> ()
     | Some cut -> result := Some cut
@@ -220,14 +226,3 @@ let approximate params g ~src ~b =
     !best
   in
   run_generic params g ~src ~b ~select
-
-let participating_edges g outcome =
-  let mask = Metrics.mask_of g outcome.participants in
-  let acc = ref [] in
-  Array.iter
-    (fun v ->
-      Graph.iter_neighbors g v (fun u ->
-          if u > v || not mask.(u) then acc := (min u v, max u v) :: !acc))
-    outcome.participants;
-  (* parallel edges yield the same pair more than once *)
-  List.sort_uniq compare !acc

@@ -44,8 +44,3 @@ val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
 (** [approximate params g ~src ~b] is ApproximateNibble. *)
 val approximate : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
-
-(** [participating_edges g outcome] materializes P-star: the edges with at
-    least one endpoint in [outcome.participants], normalized (u ≤ v),
-    ascending and without repeats. *)
-val participating_edges : Dex_graph.Graph.t -> outcome -> (int * int) list

@@ -71,7 +71,7 @@ let run ?alpha ?eps g ~src =
     | None -> None
     | Some (sweep, j) ->
       let vertices = Sweep.take sweep j in
-      Array.sort compare vertices;
+      Array.sort Int.compare vertices;
       let pref = sweep.Sweep.prefixes.(j - 1) in
       Some
         { cut = vertices;

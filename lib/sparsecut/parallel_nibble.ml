@@ -34,17 +34,28 @@ let run ?k ?ledger params g rng =
     let k = match k with Some k -> k | None -> Params.parallel_copies params ~volume:total_volume in
     let w = Params.overlap_bound params ~volume:total_volume in
     let outcomes = List.init k (fun _ -> random_nibble params g rng) in
-    (* per-edge participation counts over P-star of each copy *)
-    let overlap = Hashtbl.create 1024 in
+    (* per-edge participation counts over P-star of each copy, one per
+       CSR slot: a copy counts an edge once, at the leftmost slot out of
+       its smaller endpoint, from that endpoint if it participates *)
+    let offsets = Graph.csr_offsets g in
+    let overlap = Array.make offsets.(Graph.num_vertices g) 0 in
+    let member = Array.make (Graph.num_vertices g) (-1) in
     let max_overlap = ref 0 in
-    List.iter
-      (fun outcome ->
-        List.iter
-          (fun e ->
-            let c = 1 + (try Hashtbl.find overlap e with Not_found -> 0) in
-            Hashtbl.replace overlap e c;
-            if c > !max_overlap then max_overlap := c)
-          (Nibble.participating_edges g outcome))
+    List.iteri
+      (fun copy (outcome : Nibble.outcome) ->
+        Array.iter (fun v -> member.(v) <- copy) outcome.Nibble.participants;
+        Array.iter
+          (fun v ->
+            let adj = Graph.neighbors g v in
+            Array.iteri
+              (fun i u ->
+                if (i = 0 || adj.(i - 1) <> u) && (v < u || member.(u) <> copy) then begin
+                  let e = if v < u then offsets.(v) + i else offsets.(u) + Graph.neighbor_rank g u v in
+                  overlap.(e) <- overlap.(e) + 1;
+                  if overlap.(e) > !max_overlap then max_overlap := overlap.(e)
+                end)
+              adj)
+          outcome.Nibble.participants)
       outcomes;
     let aborted = !max_overlap > w in
     (* Lemma 10 cost model, fully measured:

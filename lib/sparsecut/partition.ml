@@ -75,7 +75,7 @@ let run ?p ?ledger params g rng =
       end
     done;
     let cut = Array.of_list !removed in
-    Array.sort compare cut;
+    Array.sort Int.compare cut;
     let conductance =
       if Array.length cut = 0 then Float.infinity else Metrics.conductance g cut
     in

@@ -19,16 +19,17 @@ type t = { ordered : int array; prefixes : prefix array }
     [Dex_util.Invariant.Violation] unless 0 ≤ j ≤ the order's length. *)
 val take : t -> int -> int array
 
-(** [order g p] is the support of [p] sorted by decreasing ρ (ties by
-    vertex id — the paper breaks ties by ID). *)
-val order : Dex_graph.Graph.t -> Walk.sparse -> int array
-
-(** [scan g p] measures every prefix of the sweep order of [p];
-    O(\|support\|·avg-deg + sort). *)
+(** [scan g p] measures every prefix of the sweep order of [p], the
+    support of [p] by decreasing ρ (ties by vertex id — the paper
+    breaks ties by ID); O(\|support\|·avg-deg + sort). [scan g]
+    allocates its O(n) membership scratch once; bind it to reuse the
+    scratch on every sweep of a walk, as with {!Walk.step}. A one-off
+    [scan g p] pays that O(n) allocation on top. *)
 val scan : Dex_graph.Graph.t -> Walk.sparse -> t
 
 (** [best_cut g p] is [(sweep, j)] minimizing prefix conductance with
-    both sides of positive volume, if any. *)
+    both sides of positive volume, if any. Bind [best_cut g] to reuse
+    one scratch, as with {!scan}; a one-off call also pays O(n). *)
 val best_cut : Dex_graph.Graph.t -> Walk.sparse -> (t * int) option
 
 (** [scan_vector g x] sweeps an arbitrary dense vector over all

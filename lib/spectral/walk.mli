@@ -35,7 +35,11 @@ val step_dense : Dex_graph.Graph.t -> float array -> float array
     support of M·p. Each target sums its shares in ascending source
     order, as {!step_dense} does, so the kept masses equal
     {!step_dense}'s bit for bit. [step g] allocates its O(n) scratch
-    once; bind it to reuse the scratch on every step of a walk. *)
+    once; bind it to reuse the scratch on every step of a walk. A step
+    lists its support in id order by reading the scratch marks when
+    the support holds at least n/64 vertices, and by sorting it
+    otherwise (about where the two cost the same); the two give the
+    same ids. *)
 val step : Dex_graph.Graph.t -> eps:float -> sparse -> sparse
 
 (** [walk_from g ~src ~steps] runs [steps] un-truncated dense steps
@@ -52,10 +56,6 @@ val truncated_walk :
 (** [rho g p v] is p(v)/deg(v), the normalized mass ρ(v); 0 when
     deg(v) = 0 or v unsupported. *)
 val rho : Dex_graph.Graph.t -> sparse -> int -> float
-
-(** [find p v] is the index [i] with [p.ids.(i) = v], if [v] is
-    supported; a binary search. *)
-val find : sparse -> int -> int option
 
 (** [mass p] is the total mass of a sparse distribution. *)
 val mass : sparse -> float

@@ -159,11 +159,25 @@ let test_nibble_participants_cover_cut () =
   Alcotest.(check bool) "rounds positive" true (outcome.Nibble.rounds > 0);
   Alcotest.(check bool) "steps ≤ t0" true (outcome.Nibble.steps_executed <= params.Params.t0)
 
+(* P-star of Definition 2 as an edge list: the edges with at least one
+   endpoint among the participants, normalized (u <= v), ascending and
+   without repeats; the oracle for ParallelNibble's overlap count *)
+let participating_edges g (outcome : Nibble.outcome) =
+  let mask = Metrics.mask_of g outcome.Nibble.participants in
+  let acc = ref [] in
+  Array.iter
+    (fun v ->
+      Graph.iter_neighbors g v (fun u ->
+          if u > v || not mask.(u) then acc := (min u v, max u v) :: !acc))
+    outcome.Nibble.participants;
+  (* parallel edges yield the same pair more than once *)
+  List.sort_uniq compare !acc
+
 let test_participating_edges_incident () =
   let g = Gen.cycle 10 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
   let outcome = Nibble.approximate params g ~src:0 ~b:1 in
-  let edges = Nibble.participating_edges g outcome in
+  let edges = participating_edges g outcome in
   let members = Hashtbl.create 32 in
   Array.iter (fun v -> Hashtbl.replace members v ()) outcome.Nibble.participants;
   List.iter
@@ -273,6 +287,33 @@ let test_parallel_nibble_overlap_detection () =
   (* w = 10·ceil(ln Vol) ≈ 40: 200 copies on 32 edges must abort *)
   Alcotest.(check bool) "aborted" true r.Pn.aborted;
   Alcotest.(check (array int)) "empty cut on abort" [||] r.Pn.cut
+
+(* the most copies sharing one edge, recounted from the edge lists *)
+let recount_overlap g nibbles =
+  let counts = Hashtbl.create 64 in
+  List.fold_left
+    (fun best o ->
+      List.fold_left
+        (fun best e ->
+          let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts e) in
+          Hashtbl.replace counts e c;
+          max best c)
+        best (participating_edges g o))
+    0 nibbles
+
+let prop_overlap_matches_edge_lists =
+  QCheck.Test.make ~name:"max_overlap recounts from P-star edge lists" ~count:40
+    QCheck.(triple (int_range 6 30) (int_range 1 12) (int_bound 10_000))
+    (fun (n, k, seed) ->
+      let rng = Rng.create seed in
+      let base = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.2) in
+      (* odd seeds double every third edge: a parallel pair counts once per copy *)
+      let edges = Graph.edges base in
+      let doubled = if seed mod 2 = 1 then List.filteri (fun i _ -> i mod 3 = 0) edges else [] in
+      let g = Graph.of_edges ~n (edges @ doubled) in
+      let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+      let r = Pn.run ~k params g rng in
+      r.Pn.max_overlap = recount_overlap g r.Pn.nibbles)
 
 (* ---------- partition (Theorem 3) ---------- *)
 
@@ -631,7 +672,8 @@ let () =
       ( "parallel-nibble",
         [ Alcotest.test_case "random nibble" `Quick test_random_nibble_runs;
           Alcotest.test_case "union volume ceiling" `Quick test_parallel_nibble_union_volume;
-          Alcotest.test_case "overlap abort" `Quick test_parallel_nibble_overlap_detection ] );
+          Alcotest.test_case "overlap abort" `Quick test_parallel_nibble_overlap_detection;
+          QCheck_alcotest.to_alcotest prop_overlap_matches_edge_lists ] );
       ( "partition",
         [ Alcotest.test_case "balanced dumbbell" `Quick test_partition_balanced_cut_dumbbell;
           Alcotest.test_case "unbalanced dumbbell" `Quick test_partition_unbalanced_planted_cut;

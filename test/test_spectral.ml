@@ -124,7 +124,7 @@ let test_sweep_order_decreasing_rho () =
   let rng = Rng.create 6 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.15) in
   let walks = Walk.truncated_walk g ~src:0 ~eps:1e-6 ~steps:4 in
-  let order = Sweep.order g walks.(4) in
+  let order = (Sweep.scan g walks.(4)).Sweep.ordered in
   for i = 1 to Array.length order - 1 do
     let r1 = Walk.rho g walks.(4) order.(i - 1) in
     let r2 = Walk.rho g walks.(4) order.(i) in
@@ -140,6 +140,23 @@ let test_sweep_finds_barbell_cut () =
     let pref = sweep.Sweep.prefixes.(j - 1) in
     Alcotest.(check bool) "sparse" true (pref.Sweep.conductance < 0.05);
     Alcotest.(check int) "the clique side" 8 j
+
+(* one bound scan reuses its membership stamps: a small support swept
+   after a large one sees no stale member, and both sweeps equal a
+   fresh scan *)
+let test_sweep_scratch_reuse () =
+  let rng = Rng.create 12 in
+  let g = Gen.random_regular rng ~n:64 ~d:4 in
+  let walks = Walk.truncated_walk g ~src:5 ~eps:0.0 ~steps:10 in
+  let scan = Sweep.scan g in
+  let same label (p : Walk.sparse) =
+    let reused = scan p and fresh = Sweep.scan g p in
+    Alcotest.(check (array int)) (label ^ " order") fresh.Sweep.ordered reused.Sweep.ordered;
+    Alcotest.(check bool) (label ^ " prefixes") true (fresh.Sweep.prefixes = reused.Sweep.prefixes)
+  in
+  same "large" walks.(10);
+  same "small after large" walks.(1);
+  same "large again" walks.(10)
 
 let test_scan_vector_orders_by_value () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
@@ -247,21 +264,33 @@ let prop_mass_conserved_sparse =
       Float.abs (Walk.mass !p -. 1.0) < 1e-9)
 
 (* the untruncated sparse step is the dense step restricted to its
-   support, bit for bit, self-loops included *)
+   support, bit for bit, self-loops included. The three families
+   exercise both ways a step lists its support: small G(n,p) graphs
+   and the 8-regular graphs reach full support (read off the marks),
+   while walks on cycles and paths of 30 to 4000 vertices stay below
+   n/64 (sorted) for some or all of their 12 steps. *)
 let prop_sparse_step_is_dense =
   QCheck.Test.make ~name:"sparse step equals dense step bit for bit" ~count:60
-    QCheck.(pair (int_range 3 25) (int_bound 10_000))
-    (fun (n, seed) ->
+    QCheck.(triple (int_bound 2) (int_range 3 400) (int_bound 10_000))
+    (fun (family, size, seed) ->
       let rng = Rng.create seed in
-      let g = Gen.gnp rng ~n ~p:0.2 in
+      let g =
+        match family with
+        | 0 -> Gen.gnp rng ~n:(3 + (size mod 23)) ~p:0.2
+        | 1 -> if seed mod 2 = 0 then Gen.cycle (size * 10) else Gen.path (size * 10)
+        | _ -> Gen.random_regular rng ~n:128 ~d:8
+      in
+      let n = Graph.num_vertices g in
       let g = Graph.with_self_loops g (Array.init n (fun _ -> Rng.int rng 3)) in
       let step = Walk.step g ~eps:0.0 in
       let sparse = ref (Walk.indicator (seed mod n)) in
       let dense = ref (sparse_to_dense n !sparse) in
       let same = ref true in
-      for _ = 1 to 6 do
+      for _ = 1 to 12 do
         sparse := step !sparse;
         dense := Walk.step_dense g !dense;
+        let ids = !sparse.Walk.ids in
+        Array.iteri (fun i v -> if i > 0 && ids.(i - 1) >= v then same := false) ids;
         let on_support = sparse_to_dense n !sparse in
         let supported = Array.make n false in
         Array.iter (fun v -> supported.(v) <- true) !sparse.Walk.ids;
@@ -289,7 +318,8 @@ let () =
         [ Alcotest.test_case "prefix stats match metrics" `Quick test_sweep_cut_matches_metrics;
           Alcotest.test_case "order decreasing" `Quick test_sweep_order_decreasing_rho;
           Alcotest.test_case "finds barbell cut" `Quick test_sweep_finds_barbell_cut;
-          Alcotest.test_case "scan_vector boundary" `Quick test_scan_vector_orders_by_value ] );
+          Alcotest.test_case "scan_vector boundary" `Quick test_scan_vector_orders_by_value;
+          Alcotest.test_case "scratch reuse" `Quick test_sweep_scratch_reuse ] );
       ( "mixing",
         [ Alcotest.test_case "mixing time ordering" `Quick test_mixing_time_ordering;
           Alcotest.test_case "gap: complete vs ring" `Quick test_spectral_gap_complete_vs_ring;
