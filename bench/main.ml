@@ -11,64 +11,38 @@
      E7  Theorem 2  triangle enumeration rounds vs baselines
      E8  GKS        routing preprocessing/query trade-off
      E9  ablations  Phase-2 level count, sweep stride, nibble copies
-     E10 Bechamel   micro-benchmarks of the core primitives
      E11 Section 1.2 recursion depth: strawman vs Theorem 1; sequential
                     Spielman-Teng Partition vs the parallelized one
      E12 Section 1   Jerrum-Sinclair: 1/Phi <= tau_mix <= log n / Phi^2
      E13 robustness  fault sweep: reliable delivery overhead vs drop
                      probability; Las Vegas retry cost until certified
-     E14 kernel      throughput of the cursor driver on a BFS flood
 
    `dune exec bench/main.exe` runs everything at default sizes;
    `dune exec bench/main.exe -- quick` shrinks the sweeps;
-   `dune exec bench/main.exe -- e5` runs a single section;
-   `dune exec bench/main.exe -- quick --json out.json` additionally
-   writes the machine-readable snapshot (schema: DESIGN.md §8). *)
+   `dune exec bench/main.exe -- e5` runs a single section.
+
+   Every section is deterministic from its seeds and prints no
+   wall-clock time, so `quick` output is a golden:
+   `dune build @test/golden/bench-golden` diffs it against
+   test/golden/bench_quick.expected. Section ids are stable (there is
+   no E10 or E14: wall-clock timing lives in perfbench, and the kernel
+   throughput flood in `dexpander throughput`). *)
 
 module X = Dexpander
 module Table = X.Table
-module Snap = X.Bench_snapshot
 
 let quick = ref false
 let only : string list ref = ref []
-let json_path : string option ref = ref None
 
 let wants name = !only = [] || List.mem name !only
 
 let fi = float_of_int
 
-(* snapshot collection: every table printed and every note emitted by a
-   section is also captured for the --json export *)
-let sections_acc : Snap.section list ref = ref []
-let cur_tables : Snap.table list ref = ref []
-let cur_notes : string list ref = ref []
-
-let out_table t =
-  Table.print t;
-  cur_tables :=
-    Snap.table ~title:(Table.title t) ~headers:(Table.headers t) (Table.rows t)
-    :: !cur_tables
-
-let note fmt =
-  Printf.ksprintf
-    (fun s ->
-      print_string s;
-      cur_notes := String.trim s :: !cur_notes)
-    fmt
-
 let section name title f =
   if wants name then begin
     Printf.printf "\n### [%s] %s\n\n%!" (String.uppercase_ascii name) title;
-    cur_tables := [];
-    cur_notes := [];
     f ();
-    print_newline ();
-    sections_acc :=
-      { Snap.id = name;
-        title;
-        tables = List.rev !cur_tables;
-        notes = List.rev !cur_notes }
-      :: !sections_acc
+    print_newline ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -115,7 +89,7 @@ let e1_ldd () =
               string_of_int r.X.Ldd.rounds ])
         seeds)
     cases;
-  out_table t
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E2 — Theorem 3: nearly most balanced sparse cut                     *)
@@ -154,7 +128,7 @@ let e2_sparsecut () =
           Printf.sprintf "%.2f" (X.Nibble_params.h ~n phi);
           string_of_int r.X.Sparse_cut.rounds ])
     cases;
-  out_table t
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E3 — Theorem 3 vs prior cut algorithms                              *)
@@ -229,7 +203,7 @@ let e3_baselines () =
             string_of_int c.X.Pagerank_cut.pushes ]
       | None -> ())
     graphs;
-  out_table t
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Theorem 1: decomposition quality                               *)
@@ -274,7 +248,7 @@ let e4_decomp_quality () =
            then "yes"
            else "NO") ])
     cases;
-  out_table t
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E5 — Theorem 1: rounds scaling in n and k                           *)
@@ -343,16 +317,16 @@ let e5_decomp_rounds () =
               string_of_int r.X.Decomposition.stats.X.Decomposition.words ])
         ks)
     ns;
-  out_table t;
-  note "\nLemma 2 iteration-cap violations: %d (theory: 0)\n" !cap_violations;
+  Table.print t;
+  Printf.printf "\nLemma 2 iteration-cap violations: %d (theory: 0)\n" !cap_violations;
   if not !quick then begin
-    note
+    Printf.printf
       "log-log slope of total rounds vs n (dominated by poly(1/phi), context only):\n";
     List.iter
       (fun k ->
         match Hashtbl.find_opt per_k k with
         | Some pts when List.length pts >= 2 ->
-          note "  k=%d: slope %.2f\n" k (X.Stats.log_log_slope pts)
+          Printf.printf "  k=%d: slope %.2f\n" k (X.Stats.log_log_slope pts)
         | _ -> ())
       ks
   end
@@ -393,7 +367,7 @@ let e6_vs_cpz () =
           string_of_int cpz.X.Cpz_baseline.leftover_arboricity;
           Table.fmt_pct cpz.X.Cpz_baseline.removed_edge_fraction ])
     graphs;
-  out_table t
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E7 — Theorem 2: triangle enumeration                                *)
@@ -436,9 +410,9 @@ let e7_triangles () =
           string_of_int (X.Triangle_baselines.izumi_le_gall_rounds ~n);
           string_of_int (X.Triangle_baselines.lower_bound_rounds ~n) ])
     ns;
-  out_table t;
+  Table.print t;
   if List.length !pts_inst >= 2 then
-    note
+    Printf.printf
       "\nlog-log slope of routing instances vs n: %.2f (theory: 1/3)\n"
       (X.Stats.log_log_slope !pts_inst)
 
@@ -480,11 +454,11 @@ let e8_routing () =
           string_of_int h.X.Routing.query_rounds;
           break_even ])
     hs;
-  out_table t;
+  Table.print t;
   (* executed token routing as the delivery sanity check *)
   let requests = X.Token_router.degree_respecting_requests g (X.Rng.create 53) ~load:0.5 in
   let stats = X.Token_router.route ~capacity:4 g (X.Rng.create 54) requests in
-  note
+  Printf.printf
     "\nexecuted token routing: %d requests delivered in %d rounds (max queue %d)\n"
     stats.X.Token_router.delivered stats.X.Token_router.rounds stats.X.Token_router.max_queue
 
@@ -519,7 +493,7 @@ let e9_ablations () =
               string_of_int r.X.Decomposition.stats.X.Decomposition.partition_calls ])
         (if !quick then [ 1; 2 ] else [ 1; 2; 3; 4 ]))
     families;
-  out_table t;
+  Table.print t;
   (* (b) sweep stride: every-step (the paper) vs strided checks, on an
      instance whose cut is discovered late in the walk *)
   let t2 =
@@ -540,7 +514,7 @@ let e9_ablations () =
           Printf.sprintf "%.3f" r.X.Sparse_cut.balance;
           string_of_int r.X.Sparse_cut.rounds ])
     [ 1; 4; 16; 64 ];
-  out_table t2;
+  Table.print t2;
   (* (c) ParallelNibble copy count: probability of hitting a 2%-volume
      wart grows with the number of degree-sampled start vertices *)
   let t3 =
@@ -577,87 +551,7 @@ let e9_ablations () =
           Printf.sprintf "%.1f" (fi !overlaps /. 10.0);
           string_of_int !aborts ])
     [ 1; 2; 4; 8 ];
-  out_table t3
-
-(* ------------------------------------------------------------------ *)
-(* E10 — Bechamel micro-benchmarks                                     *)
-(* ------------------------------------------------------------------ *)
-
-let e10_micro () =
-  let open Bechamel in
-  let rng = X.Rng.create 71 in
-  let g = X.Generators.connectivize rng (X.Generators.gnp rng ~n:512 ~p:0.03) in
-  let cyc = X.Generators.cycle 4096 in
-  let dist = X.Walk.degree_distribution g in
-  let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:4 in
-  (* bound once: the staged closures time a step and a sweep, not the
-     allocation of their O(n) scratch *)
-  let step = X.Walk.step g in
-  let scan = X.Sweep.scan g in
-  (* tracing-overhead pair: the same 8-round flood on the same cycle,
-     one network with no trace attached, one with round ticks + edge
-     histograms live. The plain variant is the zero-overhead claim of
-     DESIGN.md §8 — its cost must match the kernel before tracing
-     existed. *)
-  let flood_cycle = X.Generators.cycle 512 in
-  let flood net () =
-    ignore
-      (X.Network.run_for net ~label:"bench-flood"
-         ~init:(fun v -> v land 1)
-         ~step:(fun ~round:_ ~vertex:v st ib ob ->
-           let v = X.Vertex.local_int v in
-           let st = ref st in
-           X.Arena.Inbox.iter1 ib (fun _ w -> st := !st lxor w);
-           X.Graph.iter_neighbors flood_cycle v (fun u ->
-               X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) !st);
-           !st)
-         8)
-  in
-  let plain_net = X.Network.create flood_cycle (X.Rounds.create ()) in
-  let traced_net =
-    let ledger = X.Rounds.create () in
-    X.Rounds.attach_trace ledger (Some (X.Trace.create ~capacity:4096 ()));
-    X.Network.create flood_cycle ledger
-  in
-  let tests =
-    [ Test.make ~name:"walk-step-dense" (Staged.stage (fun () -> X.Walk.step_dense g dist));
-      Test.make ~name:"walk-step-sparse"
-        (Staged.stage (fun () -> step ~eps:0.0 sparse.(4)));
-      Test.make ~name:"sweep-scan" (Staged.stage (fun () -> scan sparse.(4)));
-      Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));
-      Test.make ~name:"triangle-count" (Staged.stage (fun () -> X.Triangles.count g));
-      Test.make ~name:"gnp-generate"
-        (Staged.stage (fun () -> X.Generators.gnp (X.Rng.create 1) ~n:256 ~p:0.05));
-      Test.make ~name:"degeneracy" (Staged.stage (fun () -> X.Metrics.degeneracy g));
-      Test.make ~name:"mpx-clustering"
-        (Staged.stage (fun () ->
-             X.Clustering.run
-               (X.Network.create cyc (X.Rounds.create ()))
-               ~beta:0.5 (X.Rng.create 2)));
-      Test.make ~name:"net-round-plain" (Staged.stage (flood plain_net));
-      Test.make ~name:"net-round-traced" (Staged.stage (flood traced_net)) ]
-  in
-  let test = Test.make_grouped ~name:"dexpander" ~fmt:"%s/%s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let quota = Time.second (if !quick then 0.25 else 0.5) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota ~stabilize:false () in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.merge ols instances [ Analyze.all ols Toolkit.Instance.monotonic_clock raw ] in
-  let t = Table.create ~title:"Micro-benchmarks (monotonic clock, ns/run)" [ "benchmark"; "ns/run" ] in
-  Table.iter_sorted
-    (fun _clock tbl ->
-      Table.iter_sorted
-        (fun name ols ->
-          let est =
-            match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan
-          in
-          Table.add_row t [ name; Printf.sprintf "%.0f" est ])
-        tbl)
-    results;
-  out_table t
+  Table.print t3
 
 (* ------------------------------------------------------------------ *)
 (* E11 — strawman recursion depth & sequential ST Partition            *)
@@ -694,7 +588,7 @@ let e11_strawman () =
           string_of_int ours.X.Decomposition.schedule.X.Schedule.d;
           Table.fmt_pct ours.X.Decomposition.edge_fraction_removed ])
     chains;
-  out_table t;
+  Table.print t;
   (* (b) sequential Spielman-Teng Partition vs the parallelized one *)
   let t2 =
     Table.create
@@ -724,7 +618,7 @@ let e11_strawman () =
           string_of_int par.X.Sparse_cut.rounds;
           string_of_int par.X.Sparse_cut.iterations ])
     graphs;
-  out_table t2
+  Table.print t2
 
 (* ------------------------------------------------------------------ *)
 (* E12 — Jerrum–Sinclair mixing/conductance relation                   *)
@@ -759,7 +653,7 @@ let e12_mixing () =
           Printf.sprintf "%.0f" (1.0 /. phi);
           Printf.sprintf "%.0f" (log (fi n) /. (phi *. phi)) ])
     cases;
-  out_table t
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E13 — fault sweep: reliable delivery and Las Vegas retries          *)
@@ -821,7 +715,7 @@ let e13_faults () =
               (if correct then "yes" else "NO") ])
         [ 0.0; 0.01; 0.05; 0.1 ])
     [ `Bfs; `Leader ];
-  out_table t;
+  Table.print t;
   (* --- Las Vegas retry wrappers: pay rounds until self-certified --- *)
   let t2 =
     Table.create
@@ -885,72 +779,7 @@ let e13_faults () =
       [ "sparse-cut"; "dumbbell"; string_of_int (X.Graph.num_vertices dumb);
         string_of_int f.X.Sparse_cut.attempts;
         string_of_int f.X.Sparse_cut.rounds_total; "-"; "NO" ]);
-  out_table t2
-
-(* ------------------------------------------------------------------ *)
-(* E14 — kernel throughput of the cursor driver                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The workload is a BFS flood from vertex 0 on a cycle: the frontier
-   is 2 vertices per round over Theta(n) rounds — the shape of the
-   sweep/nibble waves the decomposition spends its rounds on, where
-   active-set scheduling pays. *)
-
-let e14_bfs g net =
-  let unreached = max_int lsr 2 in
-  X.Network.run_active net ~label:"e14-bfs"
-    ~init:(fun v -> if v = 0 then 0 else unreached)
-    ~step:(fun ~round ~vertex:v d ib ob ->
-      let vi = X.Vertex.local_int v in
-      let best = ref d in
-      X.Arena.Inbox.iter1 ib (fun _ w -> if w + 1 < !best then best := w + 1);
-      if !best < d || (round = 1 && vi = 0) then
-        X.Graph.iter_neighbors g vi (fun u ->
-            X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) !best);
-      !best)
-    ()
-
-let e14_throughput () =
-  let n = if !quick then 10_000 else 20_000 in
-  let reps = if !quick then 2 else 3 in
-  let g = X.Generators.cycle n in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Cursor-driver throughput: BFS flood on cycle n=%d (best of %d runs after warm-up)"
-           n reps)
-      [ "workload"; "rounds"; "msgs"; "ms"; "rounds/s"; "msgs/s"; "B/round" ]
-  in
-  let net = X.Network.create g (X.Rounds.create ()) in
-  (* warm-up builds the arena and the allocator's steady state *)
-  let depths, _ = e14_bfs g net in
-  if depths <> X.Metrics.bfs_distances g 0 then
-    failwith "e14: bfs-flood computed a wrong BFS tree";
-  let best_ns = ref max_int and rounds = ref 0 and msgs = ref 0 in
-  let bytes_per_round = ref 0.0 in
-  for _ = 1 to reps do
-    let m0 = X.Network.messages_sent net in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = X.Clock.now_ns () in
-    let _, r = e14_bfs g net in
-    let t1 = X.Clock.now_ns () in
-    let a1 = Gc.allocated_bytes () in
-    if t1 - t0 < !best_ns then begin
-      best_ns := t1 - t0;
-      rounds := r;
-      msgs := X.Network.messages_sent net - m0;
-      bytes_per_round := (a1 -. a0) /. fi r
-    end
-  done;
-  let secs = fi !best_ns /. 1e9 in
-  Table.add_row t
-    [ "bfs-flood"; string_of_int !rounds; string_of_int !msgs;
-      Printf.sprintf "%.2f" (secs *. 1e3);
-      Printf.sprintf "%.0f" (fi !rounds /. secs);
-      Printf.sprintf "%.0f" (fi !msgs /. secs);
-      Printf.sprintf "%.0f" !bytes_per_round ];
-  out_table t
+  Table.print t2
 
 (* ------------------------------------------------------------------ *)
 
@@ -964,23 +793,15 @@ let registry =
     ("e7", "Theorem 2: triangle enumeration", e7_triangles);
     ("e8", "GKS routing trade-off", e8_routing);
     ("e9", "Ablations", e9_ablations);
-    ("e10", "Micro-benchmarks (Bechamel)", e10_micro);
     ("e11", "Strawman recursion & sequential ST Partition", e11_strawman);
     ("e12", "Jerrum-Sinclair mixing relation", e12_mixing);
-    ("e13", "Fault sweep: reliable delivery & Las Vegas retries", e13_faults);
-    ("e14", "Kernel throughput: the cursor driver", e14_throughput) ]
+    ("e13", "Fault sweep: reliable delivery & Las Vegas retries", e13_faults) ]
 
 let () =
   let rec parse = function
     | [] -> ()
     | "quick" :: rest ->
       quick := true;
-      parse rest
-    | [ "--json" ] ->
-      prerr_endline "bench: --json requires a file path";
-      exit 2
-    | "--json" :: path :: rest ->
-      json_path := Some path;
       parse rest
     | name :: rest ->
       let name = String.lowercase_ascii name in
@@ -990,7 +811,7 @@ let () =
       end
       else begin
         Printf.eprintf
-          "bench: unknown section %S; valid sections: %s (plus 'quick' and '--json PATH')\n"
+          "bench: unknown section %S; valid sections: %s (plus 'quick')\n"
           name
           (String.concat ", " (List.map (fun (id, _, _) -> id) registry));
         exit 2
@@ -999,9 +820,4 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   Printf.printf "dexpander benchmark harness — %s mode\n"
     (if !quick then "quick" else "full");
-  List.iter (fun (id, title, f) -> section id title f) registry;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    Snap.write ~path ~mode:(if !quick then "quick" else "full") (List.rev !sections_acc);
-    Printf.printf "\nwrote JSON snapshot to %s\n" path
+  List.iter (fun (id, title, f) -> section id title f) registry

@@ -20,7 +20,17 @@ let make_graph ~family ~file ~n ~seed ~p ~parts ~p_in ~p_out ~degree =
   let rng = X.Rng.create (seed + 7919) in
   let g =
     match file with
-    | Some path -> X.Graph_io.load path
+    | Some path -> (
+      (* a bad edge list is the user's input error, not a crash: name
+         the file and exit 1 (Sys_error's message already starts with
+         the path) *)
+      try X.Graph_io.load path with
+      | Failure msg ->
+        Printf.eprintf "dexpander: %s: %s\n" path msg;
+        exit 1
+      | Sys_error msg ->
+        Printf.eprintf "dexpander: %s\n" msg;
+        exit 1)
     | None ->
     match family with
     | "gnp" -> X.Generators.gnp rng ~n ~p

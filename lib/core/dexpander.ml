@@ -27,7 +27,6 @@ module Graph_io = Dex_graph.Graph_io
 module Json = Dex_obs.Json
 module Trace = Dex_obs.Trace
 module Clock = Dex_obs.Clock
-module Bench_snapshot = Dex_obs.Snapshot
 module Network = Dex_congest.Network
 module Arena = Dex_congest.Arena
 module Conformance = Dex_congest.Conformance

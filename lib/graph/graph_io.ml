@@ -44,14 +44,7 @@ let to_string g =
   Graph.iter_edges g (fun u v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
   Buffer.contents buf
 
-let load path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text
+let load path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 let save path g =
-  let oc = open_out path in
-  output_string oc (to_string g);
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (to_string g))

@@ -19,7 +19,9 @@ val parse : string -> Graph.t
     isomorphic (identical ids) graph. *)
 val to_string : Graph.t -> string
 
-(** [load path] / [save path g] are the file versions. *)
+(** [load path] / [save path g] are the file versions; the channel is
+    closed on every exit. [load] raises [Sys_error] when [path] cannot
+    be read and [Failure] (as {!parse}) on malformed content. *)
 val load : string -> Graph.t
 
 val save : string -> Graph.t -> unit

@@ -1,8 +1,9 @@
 (** Minimal JSON representation: just enough for the observability
-    layer to emit trace events and benchmark snapshots and to read its
-    own output back (tests round-trip every line we write). Object key
-    order is preserved verbatim, so emitted documents have a stable,
-    documented key order — diffs across PRs stay meaningful. *)
+    layer to emit trace events (and for perfbench and the linter to
+    print their reports) and to read its own output back (tests
+    round-trip every line we write). Object key order is preserved
+    verbatim, so emitted documents have a stable, documented key
+    order — diffs across PRs stay meaningful. *)
 
 type t =
   | Null

@@ -12,14 +12,6 @@ type cut = {
 }
 
 let of_sweep g sweep =
-  let best = ref None in
-  Array.iter
-    (fun (pref : Sweep.prefix) ->
-      if Float.is_finite pref.Sweep.conductance then
-        match !best with
-        | None -> best := Some pref
-        | Some b -> if pref.Sweep.conductance < b.Sweep.conductance then best := Some pref)
-    sweep.Sweep.prefixes;
   Option.map
     (fun (pref : Sweep.prefix) ->
       let vertices = Sweep.take sweep pref.Sweep.len in
@@ -28,7 +20,7 @@ let of_sweep g sweep =
         conductance = pref.Sweep.conductance;
         balance = Metrics.balance g vertices;
         rounds = 0 })
-    !best
+    (Sweep.best_prefix sweep)
 
 let spectral g rng =
   let iters = 100 in
@@ -50,24 +42,22 @@ let dsmp ?walk_length g rng =
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
     let step = Dex_spectral.Walk.step g ~eps:0.0 in
-    let best_cut = Sweep.best_cut g in
+    let scan = Sweep.scan g in
     let p = ref (Dex_spectral.Walk.indicator src) in
     let best = ref None in
     for _ = 1 to steps do
       p := step !p;
-      match best_cut !p with
-      | None -> ()
-      | Some (sweep, j) ->
-        let pref = sweep.Sweep.prefixes.(j - 1) in
-        (match !best with
-        | Some (bc, _, _) when bc <= pref.Sweep.conductance -> ()
-        | _ ->
-          let vertices = Sweep.take sweep j in
-          Array.sort Int.compare vertices;
-          best := Some (pref.Sweep.conductance, vertices, ()))
+      let sweep = scan !p in
+      match (Sweep.best_prefix sweep, !best) with
+      | None, _ -> ()
+      | Some pref, Some (bc, _) when bc <= pref.Sweep.conductance -> ()
+      | Some pref, _ ->
+        let vertices = Sweep.take sweep pref.Sweep.len in
+        Array.sort Int.compare vertices;
+        best := Some (pref.Sweep.conductance, vertices)
     done;
     Option.map
-      (fun (conductance, vertices, ()) ->
+      (fun (conductance, vertices) ->
         { vertices;
           conductance;
           balance = Metrics.balance g vertices;

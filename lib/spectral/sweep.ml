@@ -72,19 +72,21 @@ let scan g =
     let rho, ranked = ranked g p in
     scan_order g ~stamp ~epoch:!epoch (Array.map (fun i -> p.ids.(i)) ranked) ranked rho
 
+let best_prefix sweep =
+  Array.fold_left
+    (fun best pref ->
+      if not (Float.is_finite pref.conductance) then best
+      else
+        match best with
+        | Some b when b.conductance <= pref.conductance -> best
+        | _ -> Some pref)
+    None sweep.prefixes
+
 let best_cut g =
   let scan = scan g in
   fun p ->
     let sweep = scan p in
-    let best = ref None in
-    Array.iter
-      (fun pref ->
-        if Float.is_finite pref.conductance then
-          match !best with
-          | None -> best := Some pref
-          | Some b -> if pref.conductance < b.conductance then best := Some pref)
-      sweep.prefixes;
-    Option.map (fun pref -> (sweep, pref.len)) !best
+    Option.map (fun pref -> (sweep, pref.len)) (best_prefix sweep)
 
 let scan_vector g x =
   let n = Graph.num_vertices g in

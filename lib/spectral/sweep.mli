@@ -27,8 +27,13 @@ val take : t -> int -> int array
     [scan g p] pays that O(n) allocation on top. *)
 val scan : Dex_graph.Graph.t -> Walk.sparse -> t
 
-(** [best_cut g p] is [(sweep, j)] minimizing prefix conductance with
-    both sides of positive volume, if any. Bind [best_cut g] to reuse
+(** [best_prefix sweep] is the first prefix of [sweep] with the
+    smallest finite conductance (both sides of positive volume), if
+    any. *)
+val best_prefix : t -> prefix option
+
+(** [best_cut g p] is [(sweep, j)] where π(1..j) is
+    [best_prefix (scan g p)], if any. Bind [best_cut g] to reuse
     one scratch, as with {!scan}; a one-off call also pays O(n). *)
 val best_cut : Dex_graph.Graph.t -> Walk.sparse -> (t * int) option
 

@@ -24,9 +24,6 @@ type t = { title : string; headers : string list; mutable rows : string list lis
 
 let create ~title headers = { title; headers; rows = [] }
 let add_row t cells = t.rows <- cells :: t.rows
-let title t = t.title
-let headers t = t.headers
-let rows t = List.rev t.rows
 
 let pad s width =
   let n = String.length s in

@@ -35,14 +35,6 @@ val create : title:string -> string list -> t
 (** [add_row t cells] appends a row; short rows are padded. *)
 val add_row : t -> string list -> unit
 
-(** Accessors (the bench snapshot exporter reads tables back). *)
-
-val title : t -> string
-val headers : t -> string list
-
-(** [rows t] is every row added so far, in insertion order. *)
-val rows : t -> string list list
-
 (** [render t] is the aligned textual rendering (with title and rule). *)
 val render : t -> string
 

@@ -1,11 +1,9 @@
 (* Tests for the observability layer: the JSON codec, trace events and
    their JSONL round-trip, span trees over real algorithm runs, the
-   per-edge congestion histogram, fault-aware word accounting and the
-   bench snapshot schema. *)
+   per-edge congestion histogram and fault-aware word accounting. *)
 
 module Json = Dex_obs.Json
 module Trace = Dex_obs.Trace
-module Snapshot = Dex_obs.Snapshot
 module Graph = Dex_graph.Graph
 module Gen = Dex_graph.Generators
 module Rounds = Dex_congest.Rounds
@@ -363,16 +361,6 @@ let test_jsonl_sink_roundtrip () =
       in
       Alcotest.(check bool) "sink and ring agree" true (decoded = Trace.events tr))
 
-(* ---------- bench snapshot schema ---------- *)
-
-let sample_sections () =
-  [ { Snapshot.id = "e1";
-      title = "sample";
-      tables =
-        [ Snapshot.table ~title:"t" ~headers:[ "n"; "m"; "rounds" ]
-            [ [ "8"; "12"; "40" ]; [ "16" ] ] ];
-      notes = [ "a note" ] } ]
-
 let test_clock_freeze () =
   Fun.protect ~finally:Dex_obs.Clock.unfreeze
     (fun () ->
@@ -414,57 +402,6 @@ let test_set_sink_and_event_json () =
         (Json.to_string (Trace.event_to_json ev)) line;
       Alcotest.(check int) "ring kept all three" 3 (Trace.emitted tr))
 
-let test_snapshot_version_embedded () =
-  let doc = Snapshot.to_json ~mode:"quick" (sample_sections ()) in
-  match Json.member "schema" doc with
-  | Some (Json.String v) -> Alcotest.(check string) "schema id" Snapshot.version v
-  | _ -> Alcotest.fail "snapshot lacks a schema field"
-
-let test_snapshot_valid () =
-  let doc = Snapshot.to_json ~mode:"quick" (sample_sections ()) in
-  (match Snapshot.validate doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "validate: %s" e);
-  (* short rows were padded to header arity *)
-  let rendered = Json.to_string doc in
-  (match Json.parse rendered with
-  | Error e -> Alcotest.failf "reparse: %s" e
-  | Ok v -> (
-    match Snapshot.validate v with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "validate after roundtrip: %s" e));
-  Alcotest.(check bool) "padded row survives" true
-    (let sub = "[\"16\",\"\",\"\"]" in
-     let n = String.length rendered and k = String.length sub in
-     let rec scan i = i + k <= n && (String.sub rendered i k = sub || scan (i + 1)) in
-     scan 0)
-
-let test_snapshot_invalid () =
-  let reject doc msg =
-    match Snapshot.validate doc with
-    | Ok () -> Alcotest.failf "accepted invalid snapshot: %s" msg
-    | Error _ -> ()
-  in
-  let good = Snapshot.to_json ~mode:"quick" (sample_sections ()) in
-  reject Json.Null "not an object";
-  reject (Json.Obj [ ("schema", Json.String "other/1") ]) "wrong schema tag";
-  (match good with
-  | Json.Obj fields ->
-    reject
-      (Json.Obj (List.filter (fun (k, _) -> k <> "mode") fields))
-      "missing mode";
-    reject
-      (Json.Obj
-         (List.map
-            (fun (k, v) -> if k = "sections" then (k, Json.Int 3) else (k, v))
-            fields))
-      "sections not a list"
-  | _ -> Alcotest.fail "snapshot is not an object");
-  (* a row wider than the header list must be rejected at construction *)
-  match Snapshot.table ~title:"t" ~headers:[ "a" ] [ [ "1"; "2" ] ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted a row wider than the headers"
-
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -494,8 +431,4 @@ let () =
             test_words_sent_fault_aware;
           Alcotest.test_case "fault events bridged" `Quick test_fault_events_bridged ] );
       ( "retries",
-        [ Alcotest.test_case "las vegas retry events" `Quick test_retry_events ] );
-      ( "snapshot",
-        [ Alcotest.test_case "valid document" `Quick test_snapshot_valid;
-          Alcotest.test_case "schema id embedded" `Quick test_snapshot_version_embedded;
-          Alcotest.test_case "invalid documents rejected" `Quick test_snapshot_invalid ] ) ]
+        [ Alcotest.test_case "las vegas retry events" `Quick test_retry_events ] ) ]

@@ -141,6 +141,23 @@ let test_sweep_finds_barbell_cut () =
     Alcotest.(check bool) "sparse" true (pref.Sweep.conductance < 0.05);
     Alcotest.(check int) "the clique side" 8 j
 
+(* the best prefix is the first one at the smallest finite
+   conductance; infinite ones (an empty side) never win *)
+let test_best_prefix_first_minimum () =
+  let sweep conductances =
+    { Sweep.ordered = Array.mapi (fun i _ -> i) conductances;
+      prefixes =
+        Array.mapi
+          (fun i conductance ->
+            { Sweep.len = i + 1; volume = 0; cut = 0; conductance; last_rho = 0.0 })
+          conductances }
+  in
+  let best c = Option.map (fun p -> p.Sweep.len) (Sweep.best_prefix (sweep c)) in
+  Alcotest.(check (option int)) "first of two minima" (Some 3)
+    (best [| Float.infinity; 0.5; 0.2; 0.2; 0.3; Float.infinity |]);
+  Alcotest.(check (option int)) "all infinite" None (best [| Float.infinity; Float.infinity |]);
+  Alcotest.(check (option int)) "empty" None (best [||])
+
 (* one bound scan reuses its membership stamps: a small support swept
    after a large one sees no stale member, and both sweeps equal a
    fresh scan *)
@@ -319,7 +336,9 @@ let () =
           Alcotest.test_case "order decreasing" `Quick test_sweep_order_decreasing_rho;
           Alcotest.test_case "finds barbell cut" `Quick test_sweep_finds_barbell_cut;
           Alcotest.test_case "scan_vector boundary" `Quick test_scan_vector_orders_by_value;
-          Alcotest.test_case "scratch reuse" `Quick test_sweep_scratch_reuse ] );
+          Alcotest.test_case "scratch reuse" `Quick test_sweep_scratch_reuse;
+          Alcotest.test_case "best prefix is the first minimum" `Quick
+            test_best_prefix_first_minimum ] );
       ( "mixing",
         [ Alcotest.test_case "mixing time ordering" `Quick test_mixing_time_ordering;
           Alcotest.test_case "gap: complete vs ring" `Quick test_spectral_gap_complete_vs_ring;
