@@ -1,22 +1,58 @@
 (* dexpander — command-line front end.
 
    Subcommands:
-     generate    describe a generated graph
-     decompose   run the (ε, φ)-expander decomposition (Theorem 1)
-     sparse-cut  run the nearly most balanced sparse cut (Theorem 3)
-     ldd         run the low-diameter decomposition (Theorem 4)
-     triangles   enumerate triangles via expander decomposition (Theorem 2)
-     faults      reliable BFS/leader election on a lossy network
-     throughput  kernel round throughput on a BFS flood
+     generate     describe a generated graph
+     decompose    run the (ε, φ)-expander decomposition (Theorem 1)
+     sparse-cut   run the nearly most balanced sparse cut (Theorem 3)
+     ldd          run the low-diameter decomposition (Theorem 4)
+     triangles    enumerate triangles via expander decomposition (Theorem 2)
+     faults       reliable BFS/leader election on a lossy network
+     throughput   kernel round throughput on a BFS flood
+     trace        one algorithm under structured tracing: span tree, hot edges
+     conformance  replay reference protocols under permuted schedules
 
-   Graphs are generated on demand: --family gnp/sbm/barbell/dumbbell/
-   grid/powerlaw/regular/cliques/tree/cycle/path, with family-specific
-   knobs — or loaded from an edge-list file with --file. *)
+   Every subcommand reads its graph through one term ([graph_t]):
+   generated on demand with --family gnp/sbm/barbell/dumbbell/grid/
+   powerlaw/regular/cliques/tree/cycle/path and family-specific knobs,
+   or loaded from an edge-list file with --file; it is printed
+   ([describe]) before the subcommand runs.
+
+   Values are checked at parse time, in the theorems' domains: -k,
+   --attempts, --retries and --parts at least 1; --epsilon and --beta
+   in (0,1); --phi in (0,1/12]; -p, --p-in, --p-out, --drop and --dup
+   in [0,1]. Anything else is a usage error (exit 124). The linter has
+   its own front end, tools/lint/dex_lint.exe. *)
 
 open Cmdliner
 module X = Dexpander
 
-let make_graph ~family ~file ~n ~seed ~p ~parts ~p_in ~p_out ~degree =
+(* one check per option: a value outside [ok] is a usage error (exit
+   124, naming the option), never an exception out of the library *)
+let checked conv ~ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg ("expected " ^ expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = checked Arg.int ~ok:(fun v -> v >= 1) "a positive integer"
+let unit_open = checked Arg.float ~ok:(fun x -> x > 0.0 && x < 1.0) "a number in (0,1)"
+let prob = checked Arg.float ~ok:(fun x -> x >= 0.0 && x <= 1.0) "a probability in [0,1]"
+
+let families =
+  [ ("gnp", `Gnp); ("sbm", `Sbm); ("barbell", `Barbell); ("dumbbell", `Dumbbell);
+    ("grid", `Grid); ("powerlaw", `Powerlaw); ("regular", `Regular);
+    ("cliques", `Cliques); ("tree", `Tree); ("cycle", `Cycle); ("path", `Path) ]
+
+let describe g =
+  Printf.printf "graph: n=%d m=%d (plain %d), degeneracy=%d, connected=%b\n"
+    (X.Graph.num_vertices g) (X.Graph.num_edges g) (X.Graph.num_plain_edges g)
+    (X.Metrics.degeneracy g)
+    (X.Metrics.is_connected g)
+
+let make_graph family file n seed p parts p_in p_out degree =
   let rng = X.Rng.create (seed + 7919) in
   let g =
     match file with
@@ -33,79 +69,79 @@ let make_graph ~family ~file ~n ~seed ~p ~parts ~p_in ~p_out ~degree =
         exit 1)
     | None ->
     match family with
-    | "gnp" -> X.Generators.gnp rng ~n ~p
-    | "sbm" ->
-      let size = max 1 (n / max 1 parts) in
+    | `Gnp -> X.Generators.gnp rng ~n ~p
+    | `Sbm ->
+      let size = max 1 (n / parts) in
       X.Generators.planted_partition rng ~parts ~size ~p_in ~p_out
-    | "barbell" -> X.Generators.barbell ~clique:(max 2 (n / 2)) ~bridge:(max 0 (n mod 2))
-    | "dumbbell" ->
+    | `Barbell -> X.Generators.barbell ~clique:(max 2 (n / 2)) ~bridge:(max 0 (n mod 2))
+    | `Dumbbell ->
       X.Generators.dumbbell rng ~n1:(n / 2) ~n2:(n - (n / 2)) ~d:degree ~bridges:2
-    | "grid" ->
+    | `Grid ->
       let side = max 1 (int_of_float (sqrt (float_of_int n))) in
       X.Generators.grid side side
-    | "powerlaw" -> X.Generators.chung_lu rng ~n ~exponent:2.5 ~avg_degree:(float_of_int degree)
-    | "regular" -> X.Generators.random_regular rng ~n ~d:degree
-    | "cliques" -> X.Generators.cliques_chain ~cliques:(max 1 (n / 16)) ~size:16
-    | "cycle" -> X.Generators.cycle (max 3 n)
-    | "path" -> X.Generators.path (max 1 n)
-    | "tree" ->
+    | `Powerlaw -> X.Generators.chung_lu rng ~n ~exponent:2.5 ~avg_degree:(float_of_int degree)
+    | `Regular -> X.Generators.random_regular rng ~n ~d:degree
+    | `Cliques -> X.Generators.cliques_chain ~cliques:(max 1 (n / 16)) ~size:16
+    | `Cycle -> X.Generators.cycle (max 3 n)
+    | `Path -> X.Generators.path (max 1 n)
+    | `Tree ->
       let depth = max 1 (int_of_float (log (float_of_int (max 2 n)) /. log 2.0) - 1) in
       X.Generators.binary_tree depth
-    | other -> failwith (Printf.sprintf "unknown graph family %S" other)
   in
-  X.Generators.connectivize rng g
+  let g = X.Generators.connectivize rng g in
+  describe g;
+  g
 
-let describe g =
-  Printf.printf "graph: n=%d m=%d (plain %d), degeneracy=%d, connected=%b\n"
-    (X.Graph.num_vertices g) (X.Graph.num_edges g) (X.Graph.num_plain_edges g)
-    (X.Metrics.degeneracy g)
-    (X.Metrics.is_connected g)
-
-(* shared options *)
-let family_t =
-  Arg.(value & opt string "sbm" & info [ "family"; "f" ] ~docv:"FAMILY" ~doc:"Graph family.")
-
-let file_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "file" ] ~docv:"PATH" ~doc:"Load the graph from an edge-list file instead of generating one.")
-
-let n_t = Arg.(value & opt int 240 & info [ "n" ] ~docv:"N" ~doc:"Vertex count (approximate).")
 let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-let p_t = Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc:"G(n,p) edge probability.")
-let parts_t = Arg.(value & opt int 4 & info [ "parts" ] ~doc:"SBM block count.")
-let p_in_t = Arg.(value & opt float 0.3 & info [ "p-in" ] ~doc:"SBM intra-block probability.")
-let p_out_t = Arg.(value & opt float 0.01 & info [ "p-out" ] ~doc:"SBM inter-block probability.")
-let degree_t = Arg.(value & opt int 8 & info [ "degree"; "d" ] ~doc:"Degree for regular-ish families.")
-let epsilon_t = Arg.(value & opt float (1.0 /. 6.0) & info [ "epsilon"; "e" ] ~doc:"Target inter-cluster edge fraction.")
-let k_t = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Phase-2 level count (Theorem 1 trade-off).")
-let phi_t = Arg.(value & opt float 0.05 & info [ "phi" ] ~doc:"Sparse-cut conductance parameter.")
-let beta_t = Arg.(value & opt float 0.1 & info [ "beta" ] ~doc:"LDD parameter.")
 
-let graph_of family file n seed p parts p_in p_out degree =
-  make_graph ~family ~file ~n ~seed ~p ~parts ~p_in ~p_out ~degree
-
-let generate_cmd =
-  let run family file n seed p parts p_in p_out degree =
-    describe (graph_of family file n seed p parts p_in p_out degree)
+(* the one graph term: every subcommand's input, built and described
+   before the subcommand runs *)
+let graph_t =
+  let family_t =
+    Arg.(
+      value & opt (enum families) `Sbm
+      & info [ "family"; "f" ] ~docv:"FAMILY" ~doc:("Graph family: " ^ doc_alts_enum families ^ "."))
   in
-  Cmd.v (Cmd.info "generate" ~doc:"Generate a graph and print its statistics.")
-    Term.(const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t $ degree_t)
+  let file_t =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "file" ] ~docv:"PATH" ~doc:"Load the graph from an edge-list file instead of generating one.")
+  in
+  let n_t = Arg.(value & opt int 240 & info [ "n" ] ~docv:"N" ~doc:"Vertex count (approximate).") in
+  let p_t = Arg.(value & opt prob 0.1 & info [ "p" ] ~docv:"P" ~doc:"G(n,p) edge probability.") in
+  let parts_t = Arg.(value & opt pos_int 4 & info [ "parts" ] ~doc:"SBM block count, at least 1.") in
+  let p_in_t = Arg.(value & opt prob 0.3 & info [ "p-in" ] ~doc:"SBM intra-block probability.") in
+  let p_out_t = Arg.(value & opt prob 0.01 & info [ "p-out" ] ~doc:"SBM inter-block probability.") in
+  let degree_t = Arg.(value & opt int 8 & info [ "degree"; "d" ] ~doc:"Degree for regular-ish families.") in
+  Term.(
+    const make_graph $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
+    $ degree_t)
+
+let epsilon_t =
+  Arg.(
+    value & opt unit_open (1.0 /. 6.0)
+    & info [ "epsilon"; "e" ] ~doc:"Target inter-cluster edge fraction, in (0,1).")
+
+let k_t =
+  Arg.(value & opt pos_int 2 & info [ "k" ] ~doc:"Phase-2 level count (Theorem 1 trade-off), at least 1.")
+
+(* the Params.make precondition *)
+let phi_t =
+  let phi = checked Arg.float ~ok:(fun x -> x > 0.0 && x <= 1.0 /. 12.0) "a number in (0,1/12]" in
+  Arg.(value & opt phi 0.05 & info [ "phi" ] ~doc:"Sparse-cut conductance parameter, in (0,1/12].")
+
+let beta_t = Arg.(value & opt unit_open 0.1 & info [ "beta" ] ~doc:"LDD parameter, in (0,1).")
 
 let attempts_t =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some v when v >= 1 -> Ok v
-      | _ -> Error (`Msg "expected a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value & opt pos_int 1
     & info [ "attempts" ]
-      ~doc:"Las Vegas retry budget: re-run with fresh randomness until Verify certifies the output, up to this many attempts.")
+      ~doc:"Las Vegas retry budget: re-run with fresh randomness until Verify certifies the output, up to this many attempts (at least 1).")
+
+let generate_cmd =
+  Cmd.v (Cmd.info "generate" ~doc:"Generate a graph and print its statistics.")
+    Term.(const ignore $ graph_t)
 
 let print_decomposition ~epsilon r report =
   Printf.printf
@@ -129,9 +165,7 @@ let print_decomposition ~epsilon r report =
     report.X.Decomposition_verify.min_conductance_lower r.X.Decomposition.phi_target
 
 let decompose_cmd =
-  let run family file n seed p parts p_in p_out degree epsilon k attempts =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g seed epsilon k attempts =
     match X.Las_vegas.decompose ~attempts ~epsilon ~k g (X.Rng.create seed) with
     | Ok o ->
       print_decomposition ~epsilon o.X.Las_vegas.result o.X.Las_vegas.report;
@@ -145,14 +179,10 @@ let decompose_cmd =
       exit 1
   in
   Cmd.v (Cmd.info "decompose" ~doc:"Run the (ε,φ)-expander decomposition (Theorem 1).")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ epsilon_t $ k_t $ attempts_t)
+    Term.(const run $ graph_t $ seed_t $ epsilon_t $ k_t $ attempts_t)
 
 let sparse_cut_cmd =
-  let run family file n seed p parts p_in p_out degree phi =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g seed phi =
     let r = X.sparse_cut ~phi g ~seed in
     if Array.length r.X.Sparse_cut.cut = 0 then
       Printf.printf "sparse-cut: none found — graph certified as a φ=%.4f expander\n" phi
@@ -162,14 +192,10 @@ let sparse_cut_cmd =
         r.X.Sparse_cut.conductance r.X.Sparse_cut.balance r.X.Sparse_cut.rounds
   in
   Cmd.v (Cmd.info "sparse-cut" ~doc:"Run the nearly most balanced sparse cut (Theorem 3).")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ phi_t)
+    Term.(const run $ graph_t $ seed_t $ phi_t)
 
 let ldd_cmd =
-  let run family file n seed p parts p_in p_out degree beta =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g seed beta =
     let r = X.low_diameter_decomposition ~beta g ~seed in
     let m = max 1 (X.Graph.num_edges g) in
     Printf.printf "ldd: parts=%d cut-edges=%d (%.2f%% of m, budget %.2f%%) rounds=%d\n"
@@ -182,14 +208,10 @@ let ldd_cmd =
       (X.Ldd.diameter_bound ~n:(X.Graph.num_vertices g) ~beta ())
   in
   Cmd.v (Cmd.info "ldd" ~doc:"Run the low-diameter decomposition (Theorem 4).")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ beta_t)
+    Term.(const run $ graph_t $ seed_t $ beta_t)
 
 let triangles_cmd =
-  let run family file n seed p parts p_in p_out degree epsilon k =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g seed epsilon k =
     let r = X.enumerate_triangles ~epsilon ~k g ~seed in
     Printf.printf
       "triangles: found=%d complete=%b levels=%d total-rounds=%d enumeration-rounds=%d\n"
@@ -205,37 +227,25 @@ let triangles_cmd =
       (X.Triangle_baselines.lower_bound_rounds ~n:nv)
   in
   Cmd.v (Cmd.info "triangles" ~doc:"Enumerate triangles via expander decomposition (Theorem 2).")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ epsilon_t $ k_t)
+    Term.(const run $ graph_t $ seed_t $ epsilon_t $ k_t)
 
 let faults_cmd =
   let drop_t =
-    Arg.(value & opt float 0.05 & info [ "drop" ] ~docv:"P" ~doc:"Per-message drop probability.")
+    Arg.(value & opt prob 0.05 & info [ "drop" ] ~docv:"P" ~doc:"Per-message drop probability.")
   in
   let dup_t =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some prob) None
       & info [ "dup" ] ~docv:"P" ~doc:"Per-message duplication probability (default drop/2).")
   in
   let fault_seed_t =
     Arg.(value & opt int 42 & info [ "fault-seed" ] ~doc:"Seed of the deterministic fault schedule.")
   in
   let retries_t =
-    let pos_int =
-      let parse s =
-        match int_of_string_opt s with
-        | Some v when v >= 1 -> Ok v
-        | _ -> Error (`Msg "expected a positive integer")
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt pos_int 64 & info [ "retries" ] ~doc:"Retransmission budget per message.")
+    Arg.(value & opt pos_int 64 & info [ "retries" ] ~doc:"Retransmission budget per message, at least 1.")
   in
-  let run family file n seed p parts p_in p_out degree drop dup fault_seed retries =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g drop dup fault_seed retries =
     let dup = match dup with Some d -> d | None -> drop /. 2.0 in
     let config = { X.Reliable.default_config with X.Reliable.max_retries = retries } in
     let exec faults =
@@ -279,14 +289,10 @@ let faults_cmd =
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Run reliable BFS and leader election on a lossy network and report the overhead.")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ drop_t $ dup_t $ fault_seed_t $ retries_t)
+    Term.(const run $ graph_t $ drop_t $ dup_t $ fault_seed_t $ retries_t)
 
 let throughput_cmd =
-  let run family file n seed p parts p_in p_out degree =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g =
     (* a BFS flood: messages carry the sender's depth, receivers adopt
        depth+1 and re-flood on improvement *)
     let net = X.Network.create g (X.Rounds.create ()) in
@@ -320,9 +326,7 @@ let throughput_cmd =
          "Time the kernel's round loop on a BFS flood over the chosen graph. Try \
           $(b,--family cycle -n 10000), where only 2 vertices are active per \
           round.")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t)
+    Term.(const run $ graph_t)
 
 let trace_cmd =
   let algo_t =
@@ -346,9 +350,7 @@ let trace_cmd =
       & info [ "jsonl" ] ~docv:"PATH"
           ~doc:"Stream every trace event to PATH as JSON Lines (schema: DESIGN.md §8).")
   in
-  let run family file n seed p parts p_in p_out degree epsilon k phi algo top jsonl =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g seed epsilon k phi algo top jsonl =
     let sink = Option.map open_out jsonl in
     let trace = X.Trace.create ?sink () in
     let ledger = X.Rounds.create () in
@@ -433,9 +435,7 @@ let trace_cmd =
        ~doc:
          "Run an algorithm under structured tracing and print its span tree, hot edges \
           and per-phase summary.")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ epsilon_t $ k_t $ phi_t $ algo_t $ top_t $ jsonl_t)
+    Term.(const run $ graph_t $ seed_t $ epsilon_t $ k_t $ phi_t $ algo_t $ top_t $ jsonl_t)
 
 let conformance_cmd =
   let word_size_t =
@@ -450,9 +450,7 @@ let conformance_cmd =
              that the detector flags it (the command still exits 0 if the clean \
              protocols pass).")
   in
-  let run family file n seed p parts p_in p_out degree word_size demo_race =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
+  let run g seed word_size demo_race =
     let report label r =
       Printf.printf
         "%-8s rounds=%d/%d messages=%d/%d (canonical/permuted): %s\n" label
@@ -506,89 +504,7 @@ let conformance_cmd =
        ~doc:
          "Replay reference protocols under permuted activation/delivery schedules and \
           audit the CONGEST kernel invariants (schedule-permutation race detector).")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ word_size_t $ demo_race_t)
-
-let lint_cmd =
-  let module Cli = Dex_lint_core.Cli in
-  let targets_t =
-    Arg.(
-      value & pos_all string [ "." ]
-      & info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: the whole tree).")
-  in
-  let json_t =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as a single JSON object.")
-  in
-  let all_rules_t =
-    Arg.(
-      value & flag
-      & info [ "all-rules" ] ~doc:"Apply every rule regardless of path scoping.")
-  in
-  let typed_only_t =
-    Arg.(
-      value & flag
-      & info [ "typed-only" ] ~doc:"Run only the typed-AST engine (C-rules).")
-  in
-  let no_typed_t =
-    Arg.(
-      value & flag
-      & info [ "no-typed" ] ~doc:"Run only the parsetree engine (D-rules).")
-  in
-  let cmt_root_t =
-    Arg.(
-      value & opt string "_build/default"
-      & info [ "cmt-root" ] ~docv:"DIR"
-          ~doc:"Root of the .cmt forest (run $(b,dune build @check) to populate it).")
-  in
-  let source_root_t =
-    Arg.(
-      value & opt string "."
-      & info [ "source-root" ] ~docv:"DIR"
-          ~doc:"Root the .cmt source paths are relative to.")
-  in
-  let graph_json_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "graph-json" ] ~docv:"FILE"
-          ~doc:"Write the module reference graph as JSON.")
-  in
-  let dead_scope_t =
-    Arg.(
-      value & opt_all string []
-      & info [ "dead-scope" ] ~docv:"DIR"
-          ~doc:"Also scan DIR's .mli exports for C004 (default: lib).")
-  in
-  let include_fixtures_t =
-    Arg.(
-      value & flag
-      & info [ "include-fixtures" ]
-          ~doc:"Lint fixture directories too (they violate on purpose).")
-  in
-  let run json all_rules typed_only no_typed cmt_root source_root graph_json
-      dead_scope include_fixtures targets =
-    let opts =
-      { Cli.json;
-        all_rules;
-        typed_only;
-        no_typed;
-        cmt_root;
-        source_root;
-        graph_json;
-        dead_scope = (if dead_scope = [] then Cli.default_opts.Cli.dead_scope else dead_scope);
-        include_fixtures;
-        targets }
-    in
-    exit (Cli.run opts)
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the static certifier: parsetree determinism rules (D-rules) and the \
-          typed-AST word-budget / coordinate-space / reference-graph rules (C-rules).")
-    Term.(
-      const run $ json_t $ all_rules_t $ typed_only_t $ no_typed_t $ cmt_root_t
-      $ source_root_t $ graph_json_t $ dead_scope_t $ include_fixtures_t $ targets_t)
+    Term.(const run $ graph_t $ seed_t $ word_size_t $ demo_race_t)
 
 let () =
   let doc = "Distributed expander decomposition and triangle enumeration (PODC 2019)" in
@@ -597,4 +513,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; decompose_cmd; sparse_cut_cmd; ldd_cmd; triangles_cmd;
-            faults_cmd; throughput_cmd; trace_cmd; conformance_cmd; lint_cmd ]))
+            faults_cmd; throughput_cmd; trace_cmd; conformance_cmd ]))

@@ -11,45 +11,36 @@ type t = {
   aborted_copies : int;
 }
 
-let run ?p ?ledger params g rng =
-  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
+let empty =
+  { cut = [||];
+    conductance = Float.infinity;
+    balance = 0.0;
+    rounds = 0;
+    iterations = 0;
+    aborted_copies = 0 }
+
+let peel params ~max_iterations g next =
   let n = Graph.num_vertices g in
   let total_volume = Graph.total_volume g in
-  let p =
-    match p with
-    | Some p -> p
-    | None -> 1.0 /. Float.max 4.0 (float_of_int n ** 2.0)
-  in
-  if total_volume = 0 then
-    { cut = [||];
-      conductance = Float.infinity;
-      balance = 0.0;
-      rounds = 0;
-      iterations = 0;
-      aborted_copies = 0 }
-  else
-    Rounds.with_span ledger "partition" @@ fun () ->
-    let start = Rounds.makespan ledger in
-    let s = Params.partition_iterations params ~volume:total_volume ~p in
+  if total_volume = 0 then empty
+  else begin
     let threshold = 47 * total_volume / 48 in
     let in_w = Array.make n true in
     let w_volume = ref total_volume in
     let removed = ref [] in
     let iterations = ref 0 in
-    let aborted = ref 0 in
     let idle = ref 0 in
     let continue = ref true in
-    while !continue && !iterations < s do
+    while !continue && !iterations < max_iterations do
       incr iterations;
       let w = Metrics.vertices_of_mask in_w in
       if Array.length w = 0 then continue := false
       else begin
         let gw, mapping = Graph.saturated_subgraph g w in
-        let pn = Parallel_nibble.run ~ledger params gw rng in
-        if pn.Parallel_nibble.aborted then incr aborted;
-        let cut = pn.Parallel_nibble.cut in
-        (* a nibble prefix may be the large side of its cut (C.3-star
-           allows up to 11/12 of the volume); peel the smaller side so
+        let cut = next gw in
+        (* the cut may be the large side (a C.3-star prefix holds up
+           to 11/12 of the volume, a ParallelNibble union up to 23/24,
+           so the complement is never empty); peel the smaller side so
            the running union stays a clean sparse cut *)
         let cut =
           if 2 * Graph.volume gw cut > Graph.total_volume gw then Metrics.complement gw cut
@@ -76,16 +67,36 @@ let run ?p ?ledger params g rng =
     done;
     let cut = Array.of_list !removed in
     Array.sort Int.compare cut;
-    let conductance =
-      if Array.length cut = 0 then Float.infinity else Metrics.conductance g cut
+    if Array.length cut = 0 then { empty with iterations = !iterations }
+    else
+      { empty with
+        cut;
+        conductance = Metrics.conductance g cut;
+        balance = Metrics.balance g cut;
+        iterations = !iterations }
+  end
+
+let run ?p ?ledger params g rng =
+  let ledger = match ledger with Some l -> l | None -> Rounds.create () in
+  let total_volume = Graph.total_volume g in
+  let p =
+    match p with
+    | Some p -> p
+    | None -> 1.0 /. Float.max 4.0 (float_of_int (Graph.num_vertices g) ** 2.0)
+  in
+  if total_volume = 0 then empty
+  else
+    Rounds.with_span ledger "partition" @@ fun () ->
+    let start = Rounds.makespan ledger in
+    let aborted = ref 0 in
+    let r =
+      peel params ~max_iterations:(Params.partition_iterations params ~volume:total_volume ~p) g
+        (fun gw ->
+          let pn = Parallel_nibble.run ~ledger params gw rng in
+          if pn.Parallel_nibble.aborted then incr aborted;
+          pn.Parallel_nibble.cut)
     in
-    let balance = if Array.length cut = 0 then 0.0 else Metrics.balance g cut in
-    { cut;
-      conductance;
-      balance;
-      rounds = Rounds.makespan ledger - start;
-      iterations = !iterations;
-      aborted_copies = !aborted }
+    { r with rounds = Rounds.makespan ledger - start; aborted_copies = !aborted }
 
 let certified_no_sparse_cut t = Array.length t.cut = 0
 

@@ -34,6 +34,19 @@ val run :
   ?p:float -> ?ledger:Dex_congest.Rounds.t ->
   Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t
 
+(** [peel params ~max_iterations g next] is the W-peeling loop that
+    {!run} and the sequential {!St_reference.run} share. Each of at
+    most [max_iterations] iterations calls [next] on the remaining
+    graph G{W} (a saturated subgraph, local ids) and peels the smaller
+    side of the cut it returns (empty for a miss) off W. The loop stops
+    once Vol(W) ≤ (47/48)·Vol(V), after [params.idle_limit]
+    consecutive misses, or when W is empty. The result carries the
+    sorted union, its conductance and balance in [g], and the
+    iterations run; [rounds] and [aborted_copies] are 0, for the
+    caller to fill in. *)
+val peel :
+  Params.t -> max_iterations:int -> Dex_graph.Graph.t -> (Dex_graph.Graph.t -> int array) -> t
+
 (** [certified_no_sparse_cut t] is [true] when Partition returned ∅ —
     the caller treats the graph as a φ-expander (Theorem 3, case 2). *)
 val certified_no_sparse_cut : t -> bool

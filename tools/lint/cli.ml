@@ -1,5 +1,5 @@
-(* Shared driver for both lint engines, used by the standalone
-   dex_lint executable and the `dexpander lint` subcommand.
+(* Driver for both lint engines behind the one lint front end,
+   tools/lint/dex_lint.exe (dex_lint.ml parses its options).
 
    Exit status: 0 clean, 1 unsuppressed findings, 2 parse/IO errors. *)
 
