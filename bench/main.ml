@@ -398,7 +398,7 @@ let e7_triangles () =
       Table.add_row t
         [ string_of_int n;
           string_of_int (X.Graph.num_edges g);
-          string_of_int (List.length r.X.Triangle_enum.triangles);
+          string_of_int (Array.length r.X.Triangle_enum.triangles);
           (if r.X.Triangle_enum.complete && dlp.X.Triangle_dlp.complete then "yes" else "NO");
           string_of_int r.X.Triangle_enum.enumeration_rounds;
           string_of_int max_inst;

@@ -20,8 +20,10 @@
    Values are checked at parse time, in the theorems' domains: -k,
    --attempts, --retries and --parts at least 1; --epsilon and --beta
    in (0,1); --phi in (0,1/12]; -p, --p-in, --p-out, --drop and --dup
-   in [0,1]. Anything else is a usage error (exit 124). The linter has
-   its own front end, tools/lint/dex_lint.exe. *)
+   in [0,1]; --degree below -n for --family regular (with n·d even)
+   and below each half of -n for --family dumbbell. Anything else is a
+   usage error (exit 124). The linter has its own front end,
+   tools/lint/dex_lint.exe. *)
 
 open Cmdliner
 module X = Dexpander
@@ -92,6 +94,24 @@ let make_graph family file n seed p parts p_in p_out degree =
   describe g;
   g
 
+(* the degree's preconditions, which depend on -n too and so are past
+   any one option's converter: a random d-regular graph on n vertices
+   needs 0 <= d < n and n·d even; the dumbbell's halves are made even
+   where n·d is odd *)
+let degree_error family n d =
+  let regular_ok n = 0 <= d && d < n in
+  match family with
+  | `Regular when not (regular_ok n) -> Some "--degree: expected 0 <= d < n for --family regular"
+  | `Regular when n * d mod 2 <> 0 -> Some "--degree: expected n*d even for --family regular"
+  | `Dumbbell ->
+    let side h = if h * d mod 2 <> 0 then h + 1 else h in
+    if regular_ok (side (n / 2)) && regular_ok (side (n - (n / 2))) then None
+    else
+      Some
+        "--degree: expected 0 <= d below each half of n for --family dumbbell (a half \
+         grows by one where its size times d is odd)"
+  | _ -> None
+
 let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 (* the one graph term: every subcommand's input, built and described
@@ -114,9 +134,15 @@ let graph_t =
   let p_in_t = Arg.(value & opt prob 0.3 & info [ "p-in" ] ~doc:"SBM intra-block probability.") in
   let p_out_t = Arg.(value & opt prob 0.01 & info [ "p-out" ] ~doc:"SBM inter-block probability.") in
   let degree_t = Arg.(value & opt int 8 & info [ "degree"; "d" ] ~doc:"Degree for regular-ish families.") in
+  let checked_graph family file n seed p parts p_in p_out degree =
+    match (file, degree_error family n degree) with
+    | None, Some msg -> `Error (true, msg)
+    | _ -> `Ok (make_graph family file n seed p parts p_in p_out degree)
+  in
   Term.(
-    const make_graph $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-    $ degree_t)
+    ret
+      (const checked_graph $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t
+     $ p_out_t $ degree_t))
 
 let epsilon_t =
   Arg.(
@@ -215,7 +241,7 @@ let triangles_cmd =
     let r = X.enumerate_triangles ~epsilon ~k g ~seed in
     Printf.printf
       "triangles: found=%d complete=%b levels=%d total-rounds=%d enumeration-rounds=%d\n"
-      (List.length r.X.Triangle_enum.triangles)
+      (Array.length r.X.Triangle_enum.triangles)
       r.X.Triangle_enum.complete
       (List.length r.X.Triangle_enum.levels)
       r.X.Triangle_enum.total_rounds r.X.Triangle_enum.enumeration_rounds;
@@ -377,7 +403,7 @@ let trace_cmd =
       | `Triangles ->
         let r = X.enumerate_triangles ~ledger ~epsilon ~k g ~seed in
         Printf.printf "triangles: found=%d complete=%b rounds(makespan)=%d\n"
-          (List.length r.X.Triangle_enum.triangles)
+          (Array.length r.X.Triangle_enum.triangles)
           r.X.Triangle_enum.complete r.X.Triangle_enum.total_rounds;
         r.X.Triangle_enum.total_rounds
     in

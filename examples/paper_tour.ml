@@ -74,7 +74,7 @@ let () =
   banner "Theorem 2 — triangle enumeration in O~(n^{1/3}) rounds";
   let tri = X.enumerate_triangles ~epsilon:(1.0 /. 6.0) g ~seed in
   Printf.printf "found %d triangles (complete: %b) over %d level(s)\n"
-    (List.length tri.X.Triangle_enum.triangles)
+    (Array.length tri.X.Triangle_enum.triangles)
     tri.X.Triangle_enum.complete
     (List.length tri.X.Triangle_enum.levels);
   let dlp = X.Triangle_dlp.run g in

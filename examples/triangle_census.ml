@@ -24,7 +24,7 @@ let () =
 
   let r = X.enumerate_triangles ~epsilon:(1.0 /. 6.0) ~k:2 g ~seed in
   Printf.printf "distributed enumeration: %d triangles, complete = %b, levels = %d\n"
-    (List.length r.X.Triangle_enum.triangles)
+    (Array.length r.X.Triangle_enum.triangles)
     r.X.Triangle_enum.complete
     (List.length r.X.Triangle_enum.levels);
   List.iter

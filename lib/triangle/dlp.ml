@@ -1,7 +1,7 @@
 module Graph = Dex_graph.Graph
 
 type result = {
-  triangles : Exact.triangle list;
+  detected : int;
   complete : bool;
   rounds : int;
   groups : int;
@@ -29,7 +29,7 @@ let triple_list groups =
 let run g =
   let n = Graph.num_vertices g in
   if n = 0 then
-    { triangles = [];
+    { detected = 0;
       complete = true;
       rounds = 0;
       groups = 0;
@@ -40,41 +40,46 @@ let run g =
     let groups = max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
     let grp = group_of ~n ~groups in
     let triples = triple_list groups in
-    let t_count = Array.length triples in
     let owner i = i mod n in
-    (* per group-pair edge counts from the real graph; pair key (a ≤ b) *)
-    let pair_edges = Hashtbl.create (groups * groups) in
+    (* group pairs a ≤ b and triples a ≤ b ≤ c as array indices *)
+    let pair a b = (a * groups) + b in
+    let cube a b c = (pair a b * groups) + c in
+    let edge_pair u v =
+      let a = grp u and b = grp v in
+      pair (Int.min a b) (Int.max a b)
+    in
+    (* per group-pair edge counts from the real graph *)
+    let pair_edges = Array.make (groups * groups) 0 in
     Graph.iter_edges g (fun u v ->
         if u <> v then begin
-          let a = grp u and b = grp v in
-          let key = (min a b, max a b) in
-          Hashtbl.replace pair_edges key
-            (1 + try Hashtbl.find pair_edges key with Not_found -> 0)
+          let p = edge_pair u v in
+          pair_edges.(p) <- pair_edges.(p) + 1
         end);
-    let pair_count key = try Hashtbl.find pair_edges key with Not_found -> 0 in
-    (* interest: how many owners need each pair (an owner of (A,B,C)
-       needs pairs AB, BC, AC — deduplicated when groups repeat) *)
-    let pair_interest = Hashtbl.create (groups * groups) in
+    (* an owner of (A,B,C) is sent pairs AB, BC, AC — deduplicated when
+       groups repeat; [pair_interest] counts the owners of each pair,
+       and bit k of [known.(cube a b c)] is set once the owner of
+       (A,B,C) holds its k-th pair *)
+    let pair_interest = Array.make (groups * groups) 0 in
+    let known = Array.make (groups * groups * groups) 0 in
     let receive = Array.make n 0 in
     Array.iteri
       (fun i (a, b, c) ->
-        let v = owner i in
-        let pairs = List.sort_uniq compare [ (a, b); (b, c); (a, c) ] in
+        let v = owner i and t = cube a b c in
+        let needs = [| pair a b; pair b c; pair a c |] in
         List.iter
-          (fun key ->
-            receive.(v) <- receive.(v) + pair_count key;
-            Hashtbl.replace pair_interest key
-              (1 + try Hashtbl.find pair_interest key with Not_found -> 0))
-          pairs)
+          (fun p ->
+            receive.(v) <- receive.(v) + pair_edges.(p);
+            pair_interest.(p) <- pair_interest.(p) + 1;
+            Array.iteri (fun k q -> if q = p then known.(t) <- known.(t) lor (1 lsl k)) needs)
+          (List.sort_uniq Int.compare (Array.to_list needs)))
       triples;
     (* sending load: the lower endpoint of each edge ships it to every
        interested owner *)
     let send = Array.make n 0 in
     Graph.iter_edges g (fun u v ->
         if u <> v then begin
-          let key = (min (grp u) (grp v), max (grp u) (grp v)) in
-          let interest = try Hashtbl.find pair_interest key with Not_found -> 0 in
-          send.(min u v) <- send.(min u v) + interest
+          let s = Int.min u v in
+          send.(s) <- send.(s) + pair_interest.(edge_pair u v)
         end);
     let max_receive = Array.fold_left max 0 receive in
     let max_send = Array.fold_left max 0 send in
@@ -84,25 +89,17 @@ let run g =
       + ((max_send + per_round - 1) / per_round)
       + 2 (* Lenzen routing setup + result announcement *)
     in
-    (* detection: a triangle's sorted group signature is owned by
-       exactly one vertex, which knows all three pair edge sets *)
-    let triple_index = Hashtbl.create t_count in
-    Array.iteri (fun i t -> Hashtbl.replace triple_index t i) triples;
-    let detected = ref [] in
-    let complete = ref true in
-    Exact.iter g (fun (u, v, w) ->
-        let sig_ = List.sort compare [ grp u; grp v; grp w ] in
-        match sig_ with
-        | [ a; b; c ] ->
-          if Hashtbl.mem triple_index (a, b, c) then detected := (u, v, w) :: !detected
-          else complete := false
-        | _ -> complete := false);
-    let triangles = List.sort compare !detected in
-    { triangles;
-      complete = !complete && List.length triangles = Exact.count g;
+    (* detection: the owner of a triangle's group signature reports it
+       only when it holds all three pair edge sets; groups are
+       contiguous blocks, so u < v < w gives the signature sorted *)
+    let detected = ref 0 in
+    Exact.iter g (fun u v w ->
+        if known.(cube (grp u) (grp v) (grp w)) = 0b111 then incr detected);
+    { detected = !detected;
+      complete = !detected = Exact.count g;
       rounds;
       groups;
-      triples = t_count;
+      triples = Array.length triples;
       max_receive_words = max_receive;
       max_send_words = max_send }
   end

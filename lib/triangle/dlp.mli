@@ -13,12 +13,14 @@
 
     rounds = ⌈max_v receive(v)/(n-1)⌉ + ⌈max_v send(v)/(n-1)⌉ + O(1).
 
-    Every triangle is detected by the owner of its group signature;
-    completeness against ground truth is part of the result. *)
+    A triangle is detected by the owner of its sorted group signature,
+    and only when that owner was sent all three of the signature's
+    pair edge sets; [complete] checks the detected count against
+    {!Exact.count}. *)
 
 type result = {
-  triangles : Exact.triangle list; (** detected, sorted *)
-  complete : bool; (** equals ground truth *)
+  detected : int; (** triangles whose signature owner holds all three pair edge sets *)
+  complete : bool; (** [detected = Exact.count g] *)
   rounds : int;
   groups : int; (** g *)
   triples : int; (** number of group triples *)

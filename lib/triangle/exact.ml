@@ -1,33 +1,32 @@
 module Graph = Dex_graph.Graph
 
-type triangle = int * int * int
+(* 20 bits per vertex, highest first: integer order on packed
+   triangles is lexicographic order on (a, b, c) *)
+let max_vertices = 1 lsl 20
+let pack a b c = (a lsl 40) lor (b lsl 20) lor c
+let unpack t = (t lsr 40, (t lsr 20) land 0xFFFFF, t land 0xFFFFF)
 
-let rank g v = (Graph.plain_degree g v, v)
-
-let forward_lists g =
-  let n = Graph.num_vertices g in
-  let out = Array.make n [] in
-  Graph.iter_edges g (fun u v ->
-      if u <> v then begin
-        (* deduplicate parallel edges: sorted adjacency makes repeats
-           adjacent, but iter_edges may revisit; a triangle is a set of
-           vertices, so duplicates only risk double counting — filter *)
-        if rank g u < rank g v then out.(u) <- v :: out.(u) else out.(v) <- u :: out.(v)
-      end);
-  Array.map
-    (fun l ->
-      let a = Array.of_list l in
-      Array.sort compare a;
-      (* drop duplicates from parallel edges *)
-      let uniq = ref [] in
-      Array.iteri (fun i x -> if i = 0 || a.(i - 1) <> x then uniq := x :: !uniq) a;
-      let u = Array.of_list (List.rev !uniq) in
-      u)
-    out
+(* the neighbors of [u] ranked above it by (degree, id), sorted by id
+   (as [Graph.neighbors] is) and without the repeats of parallel edges *)
+let forward g u =
+  let nb = Graph.neighbors g u and du = Graph.plain_degree g u in
+  let above i v =
+    let dv = Graph.plain_degree g v in
+    (i = 0 || nb.(i - 1) <> v) && (du < dv || (du = dv && u < v))
+  in
+  let out = Array.make (Array.length nb) 0 and k = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if above i v then begin
+        out.(!k) <- v;
+        incr k
+      end)
+    nb;
+  Array.sub out 0 !k
 
 let iter g f =
-  let out = forward_lists g in
   let n = Graph.num_vertices g in
+  let out = Array.init n (forward g) in
   let mark = Array.make n false in
   for u = 0 to n - 1 do
     let ou = out.(u) in
@@ -37,28 +36,26 @@ let iter g f =
         Array.iter
           (fun w ->
             if mark.(w) then begin
-              let a = min u (min v w) and c = max u (max v w) in
-              let b = u + v + w - a - c in
-              f (a, b, c)
+              let a = Int.min u (Int.min v w) and c = Int.max u (Int.max v w) in
+              f a (u + v + w - a - c) c
             end)
           out.(v))
       ou;
     Array.iter (fun v -> mark.(v) <- false) ou
   done
 
-let enumerate g =
-  let acc = ref [] in
-  iter g (fun t -> acc := t :: !acc);
-  List.sort compare !acc
-
 let count g =
   let c = ref 0 in
-  iter g (fun _ -> incr c);
+  iter g (fun _ _ _ -> incr c);
   !c
 
-let triangles_with_edge_pred g pred =
-  let hit = ref [] and miss = ref [] in
-  iter g (fun (u, v, w) ->
-      if pred u v || pred v w || pred u w then hit := (u, v, w) :: !hit
-      else miss := (u, v, w) :: !miss);
-  (List.sort compare !hit, List.sort compare !miss)
+let enumerate g =
+  Dex_util.Invariant.require
+    (Graph.num_vertices g <= max_vertices)
+    ~where:"Exact.enumerate" "n <= 2^20 (packed triangles)";
+  let all = Array.make (count g) 0 and k = ref 0 in
+  iter g (fun a b c ->
+      all.(!k) <- pack a b c;
+      incr k);
+  Array.stable_sort Int.compare all;
+  all

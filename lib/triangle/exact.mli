@@ -3,24 +3,27 @@
     The forward algorithm: orient every edge from lower to higher
     degree (ties by id) and intersect out-neighborhoods — O(m^{3/2})
     and the reference answer every distributed algorithm is checked
-    against. *)
+    against.
 
-(** A triangle as an ordered triple [u < v < w]. *)
-type triangle = int * int * int
+    A triangle [a < b < c] is one packed int, [(a lsl 40) lor (b lsl 20)
+    lor c], so integer order is lexicographic order on [(a, b, c)] and
+    a set of triangles is a sorted [int array] compared with [=]. *)
 
-(** [enumerate g] lists all triangles, sorted. Self-loops and parallel
-    edges never form triangles. *)
-val enumerate : Dex_graph.Graph.t -> triangle list
+(** [pack a b c] for [0 <= a < b < c < 2^20]; unchecked. *)
+val pack : int -> int -> int -> int
 
-(** [count g] is [List.length (enumerate g)] without materializing. *)
+(** [unpack t] is the [(a, b, c)] that {!pack} packed into [t]. *)
+val unpack : int -> int * int * int
+
+(** [enumerate g] is every triangle of [g], packed and sorted. Self-loops
+    and parallel edges never form triangles. Raises
+    [Dex_util.Invariant.Violation] when [g] has more than 2^20
+    vertices. *)
+val enumerate : Dex_graph.Graph.t -> int array
+
+(** [count g] is [Array.length (enumerate g)] without materializing,
+    for any [n]. *)
 val count : Dex_graph.Graph.t -> int
 
-(** [iter g f] calls [f] on each triangle once. *)
-val iter : Dex_graph.Graph.t -> (triangle -> unit) -> unit
-
-(** [triangles_with_edge_pred g pred] lists the triangles for which at
-    least one edge satisfies [pred u v] (with u < v) — the helper the
-    expander-decomposition enumerator uses to split "detected at this
-    level" from "survives into E-star". *)
-val triangles_with_edge_pred :
-  Dex_graph.Graph.t -> (int -> int -> bool) -> triangle list * triangle list
+(** [iter g f] calls [f a b c] on each triangle [a < b < c] once. *)
+val iter : Dex_graph.Graph.t -> (int -> int -> int -> unit) -> unit

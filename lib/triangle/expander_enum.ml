@@ -16,7 +16,7 @@ type level_report = {
 }
 
 type result = {
-  triangles : Exact.triangle list;
+  triangles : int array;
   levels : level_report list;
   total_rounds : int;
   enumeration_rounds : int;
@@ -34,7 +34,10 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
   let start = Rounds.makespan ledger in
   let n = Graph.num_vertices g in
   let ground_truth = Exact.enumerate g in
-  let detected = Hashtbl.create (2 * List.length ground_truth + 16) in
+  (* one array per level; the levels' sets are disjoint, since a
+     triangle detected at a level has an intra-part edge, which E-star
+     drops *)
+  let found = ref [] in
   let levels = ref [] in
   let enumeration_rounds = ref 0 in
   let messages = ref 0 in
@@ -58,29 +61,33 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
        detected at this level: the component owning that edge learns
        every edge incident to itself, which includes the other two *)
     let intra u v = part_of.(u) = part_of.(v) in
-    let found, _survive = Exact.triangles_with_edge_pred gcur intra in
-    let fresh = ref 0 in
-    List.iter
-      (fun t ->
-        if not (Hashtbl.mem detected t) then begin
-          Hashtbl.replace detected t ();
-          incr fresh
-        end)
-      found;
+    let here = ref [] in
+    Exact.iter gcur (fun a b c ->
+        if intra a b || intra b c || intra a c then here := Exact.pack a b c :: !here);
+    let here = Array.of_list !here in
+    found := here :: !found;
+    (* one pass over the current edges: the edges incident to each
+       component, and E-star, the inter-component ones *)
+    let incident = Array.make (List.length decomp.Decomposition.parts) 0 in
+    let estar = ref [] in
+    Graph.iter_edges gcur (fun u v ->
+        if u <> v then begin
+          let pu = part_of.(u) and pv = part_of.(v) in
+          incident.(pu) <- incident.(pu) + 1;
+          if pv <> pu then begin
+            incident.(pv) <- incident.(pv) + 1;
+            estar := (u, v) :: !estar
+          end
+        end);
     (* measured routing cost per component, components in parallel *)
     let max_pre = ref 0 and max_query = ref 0 and max_inst = ref 0 in
-    List.iter
-      (fun part ->
+    List.iteri
+      (fun i part ->
         if Array.length part > 1 then begin
           let sub, _ = Graph.induced_subgraph gcur part in
           if Graph.num_plain_edges sub > 0 then begin
-            (* edges of the current graph incident to the component *)
-            let mask = Dex_graph.Metrics.mask_of gcur part in
-            let incident = ref 0 in
-            Graph.iter_edges gcur (fun u v ->
-                if u <> v && (mask.(u) || mask.(v)) then incr incident);
             let volume = Graph.volume gcur part in
-            let instances = instances_for ~n ~incident:!incident ~volume in
+            let instances = instances_for ~n ~incident:incident.(i) ~volume in
             let hierarchy =
               match k_routing with
               | Some k -> Hierarchy.build sub rng ~k
@@ -99,24 +106,20 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       { level = !level;
         edges = Graph.num_plain_edges gcur;
         components = List.length decomp.Decomposition.parts;
-        detected = !fresh;
+        detected = Array.length here;
         decomposition_rounds = decomp.Decomposition.stats.Decomposition.rounds;
         routing_preprocess_rounds = !max_pre;
         routing_query_rounds = !max_query;
         max_instances = !max_inst }
       :: !levels;
-    (* recurse on E-star = inter-component edges *)
-    let estar = ref [] in
-    Graph.iter_edges gcur (fun u v ->
-        if u <> v && part_of.(u) <> part_of.(v) then estar := (u, v) :: !estar);
+    (* recurse on E-star *)
     let next = Graph.of_edges ~n !estar in
     if Graph.num_plain_edges next = 0 then continue := false
     else if Graph.num_plain_edges next >= Graph.num_plain_edges gcur then begin
       (* no progress (decomposition kept everything separate):
          fall back to detecting the rest locally — costs the trivial
          exchange on the residual graph *)
-      let rest = Exact.enumerate next in
-      List.iter (fun t -> Hashtbl.replace detected t ()) rest;
+      found := Exact.enumerate next :: !found;
       let cost = Baselines.trivial_rounds next in
       enumeration_rounds := !enumeration_rounds + cost;
       Rounds.charge ledger ~label:"residual-trivial" cost;
@@ -124,7 +127,8 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
     end
     else current := next
   done;
-  let triangles = Dex_util.Table.keys_sorted detected in
+  let triangles = Array.concat !found in
+  Array.stable_sort Int.compare triangles;
   { triangles;
     levels = List.rev !levels;
     total_rounds = Rounds.makespan ledger - start;

@@ -15,10 +15,12 @@
        detected here.
     3. Recurse on E-star, the inter-component edges; only triangles
        with all three edges in E-star survive a level. ε ≤ 1/2 means
-       O(log m) levels.
+       O(log m) levels. The levels' detected sets are therefore
+       disjoint: a triangle detected at a level has an intra-component
+       edge, which E-star drops.
 
-    Detection itself is executed centrally per component (the set
-    equality with ground truth is asserted by tests); the round
+    Detection itself is executed centrally per component, and [complete]
+    compares the detected set with {!Exact.enumerate}; the round
     figures are measured per the cost model above. *)
 
 type level_report = {
@@ -33,7 +35,9 @@ type level_report = {
 }
 
 type result = {
-  triangles : Exact.triangle list; (** all detected triangles, sorted *)
+  triangles : int array;
+      (** all detected triangles, packed by {!Exact.pack} and sorted: the
+          levels' disjoint sets (and the fallback's) concatenated *)
   levels : level_report list;
   total_rounds : int;
   enumeration_rounds : int;
@@ -45,7 +49,7 @@ type result = {
       (** messages delivered by the executed protocols across all
           levels (the LDD clusterings inside each decomposition) *)
   words : int; (** machine words delivered, same scope as [messages] *)
-  complete : bool; (** detected set equals ground truth *)
+  complete : bool; (** [triangles = Exact.enumerate g] *)
 }
 
 (** [run ?preset ?ledger ?epsilon ?k_decomp ?k_routing g rng]
@@ -55,7 +59,9 @@ type result = {
     with one ["level-<i>"] span per recursion level (each containing
     its decomposition's spans) and the accounted routing costs are
     charged under ["routing-preprocess"]/["routing-query"] (and
-    ["residual-trivial"] for the fallback exchange). *)
+    ["residual-trivial"] for the fallback exchange). Raises
+    [Dex_util.Invariant.Violation] when [g] has more than 2^20 vertices
+    (see {!Exact.enumerate}). *)
 val run :
   ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->

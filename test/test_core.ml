@@ -37,7 +37,7 @@ let test_triangles_api () =
   let r = X.enumerate_triangles g ~seed:5 in
   Alcotest.(check bool) "complete" true r.X.Triangle_enum.complete;
   Alcotest.(check int) "matches exact" (X.Triangles.count g)
-    (List.length r.X.Triangle_enum.triangles)
+    (Array.length r.X.Triangle_enum.triangles)
 
 let test_reexports_cohere () =
   (* the umbrella modules are the same as the underlying libraries *)

@@ -22,6 +22,8 @@ let naive_triangles g =
   done;
   List.sort compare !acc
 
+let unpacked ts = Array.to_list (Array.map Exact.unpack ts)
+
 (* ---------- exact ---------- *)
 
 let test_known_counts () =
@@ -37,7 +39,7 @@ let test_known_counts () =
 let test_self_loops_ignored () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2); (0, 0); (1, 1) ] in
   Alcotest.(check int) "one triangle" 1 (Exact.count g);
-  Alcotest.(check (list (triple int int int))) "ordered" [ (0, 1, 2) ] (Exact.enumerate g)
+  Alcotest.(check (list (triple int int int))) "ordered" [ (0, 1, 2) ] (unpacked (Exact.enumerate g))
 
 let test_parallel_edges_no_double_count () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (0, 1); (1, 2); (0, 2) ] in
@@ -48,26 +50,35 @@ let test_enumerate_matches_naive () =
     let rng = Rng.create seed in
     let g = Gen.gnp rng ~n:25 ~p:0.25 in
     Alcotest.(check (list (triple int int int))) "forward = naive" (naive_triangles g)
-      (Exact.enumerate g)
+      (unpacked (Exact.enumerate g))
   done
 
-let test_edge_pred_split () =
-  let g = Gen.complete 6 in
-  let all = Exact.enumerate g in
-  let hit, miss = Exact.triangles_with_edge_pred g (fun u v -> u = 0 && v = 1) in
-  Alcotest.(check int) "total preserved" (List.length all) (List.length hit + List.length miss);
-  (* triangles containing edge (0,1): n-2 = 4 of them *)
-  Alcotest.(check int) "hits" 4 (List.length hit);
-  List.iter
-    (fun (a, b, _) -> Alcotest.(check bool) "hit contains 0-1" true (a = 0 && b = 1))
-    hit
+(* the largest vertex ids a packed triangle holds: 20 bits each, and
+   the order of packed ints is still the order of the triples *)
+let test_pack_widest () =
+  let top = (1 lsl 20) - 1 in
+  let g =
+    Graph.of_edges ~n:(1 lsl 20)
+      [ (0, top - 1); (top - 1, top); (0, top); (1, 2); (2, 3); (1, 3) ]
+  in
+  Alcotest.(check (triple int int int)) "round trip" (0, top - 1, top)
+    (Exact.unpack (Exact.pack 0 (top - 1) top));
+  Alcotest.(check (list (triple int int int))) "packed, sorted"
+    [ (0, top - 1, top); (1, 2, 3) ]
+    (unpacked (Exact.enumerate g))
+
+let test_pack_too_many_vertices () =
+  Alcotest.check_raises "n = 2^20 + 1"
+    (Dex_util.Invariant.Violation
+       { where = "Exact.enumerate"; what = "n <= 2^20 (packed triangles)" })
+    (fun () -> ignore (Exact.enumerate (Graph.empty ((1 lsl 20) + 1))))
 
 (* ---------- distributed enumerator ---------- *)
 
 let check_complete ?epsilon ?k_decomp g seed =
   let r = Enum.run ?epsilon ?k_decomp g (Rng.create seed) in
   Alcotest.(check bool) "complete" true r.Enum.complete;
-  Alcotest.(check int) "count matches" (Exact.count g) (List.length r.Enum.triangles);
+  Alcotest.(check int) "count matches" (Exact.count g) (Array.length r.Enum.triangles);
   r
 
 let test_enum_gnp_dense () =
@@ -87,13 +98,14 @@ let test_enum_sbm_multi_level () =
   let total_detected =
     List.fold_left (fun acc l -> acc + l.Enum.detected) 0 r.Enum.levels
   in
-  Alcotest.(check bool) "level counts cover all" true
-    (total_detected >= List.length r.Enum.triangles)
+  (* the levels' detected sets are disjoint *)
+  Alcotest.(check int) "level counts sum to the set" (Array.length r.Enum.triangles)
+    total_detected
 
 let test_enum_triangle_free () =
   let g = Gen.grid 8 8 in
   let r = Enum.run g (Rng.create 11) in
-  Alcotest.(check (list (triple int int int))) "none" [] r.Enum.triangles;
+  Alcotest.(check (array int)) "none" [||] r.Enum.triangles;
   Alcotest.(check bool) "complete" true r.Enum.complete
 
 let test_enum_dumbbell () =
@@ -109,7 +121,7 @@ let test_enum_power_law () =
 let test_enum_cliques_chain () =
   let g = Gen.cliques_chain ~cliques:5 ~size:8 in
   let r = check_complete g 16 in
-  Alcotest.(check int) "clique triangles" (5 * 56) (List.length r.Enum.triangles)
+  Alcotest.(check int) "clique triangles" (5 * 56) (Array.length r.Enum.triangles)
 
 let test_instances_formula () =
   (* clique-like component: incident = volume/2 exactly when all edges
@@ -148,13 +160,17 @@ let test_dlp_complete_and_counts () =
     let g = Gen.gnp rng ~n:40 ~p:0.4 in
     let r = Dlp.run g in
     Alcotest.(check bool) "complete" true r.Dlp.complete;
-    Alcotest.(check int) "count" (Exact.count g) (List.length r.Dlp.triangles);
+    Alcotest.(check int) "detected" (Exact.count g) r.Dlp.detected;
     Alcotest.(check bool) "rounds positive" true (r.Dlp.rounds > 0)
   done
 
 let test_dlp_group_structure () =
-  let r = Dlp.run (Gen.complete 27) in
+  let g = Gen.complete 27 in
+  let r = Dlp.run g in
   Alcotest.(check int) "g = n^{1/3}" 3 r.Dlp.groups;
+  (* signatures with repeated groups are detected too *)
+  Alcotest.(check int) "detected" (Exact.count g) r.Dlp.detected;
+  Alcotest.(check bool) "complete" true r.Dlp.complete;
   (* multisets of 3 groups: C(3,3)+3·2+3 = 10 *)
   Alcotest.(check int) "triples" 10 r.Dlp.triples;
   Alcotest.(check bool) "loads measured" true
@@ -185,7 +201,7 @@ let test_dlp_scaling () =
 
 let test_dlp_empty_graph () =
   let r = Dlp.run (Graph.empty 10) in
-  Alcotest.(check (list (triple int int int))) "no triangles" [] r.Dlp.triangles;
+  Alcotest.(check int) "no triangles" 0 r.Dlp.detected;
   Alcotest.(check bool) "complete" true r.Dlp.complete
 
 (* ---------- baselines ---------- *)
@@ -222,8 +238,9 @@ let test_run_verified_complete () =
       (o.Enum.attempts >= 1 && o.Enum.attempts <= 3);
     Alcotest.(check bool) "rounds summed" true
       (o.Enum.rounds_total >= o.Enum.value.Enum.total_rounds);
-    Alcotest.(check (list (triple int int int))) "matches naive"
-      (naive_triangles g) o.Enum.value.Enum.triangles
+    Alcotest.(check (array (triple int int int))) "matches naive"
+      (Array.of_list (naive_triangles g))
+      (Array.map Exact.unpack o.Enum.value.Enum.triangles)
 
 let test_run_verified_validation () =
   let g = Gen.complete 4 in
@@ -248,7 +265,8 @@ let () =
           Alcotest.test_case "self loops ignored" `Quick test_self_loops_ignored;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges_no_double_count;
           Alcotest.test_case "matches naive" `Quick test_enumerate_matches_naive;
-          Alcotest.test_case "edge predicate split" `Quick test_edge_pred_split ] );
+          Alcotest.test_case "packs the widest ids" `Quick test_pack_widest;
+          Alcotest.test_case "too many vertices to pack" `Quick test_pack_too_many_vertices ] );
       ( "expander-enum",
         [ Alcotest.test_case "dense gnp" `Quick test_enum_gnp_dense;
           Alcotest.test_case "SBM multi level" `Quick test_enum_sbm_multi_level;
