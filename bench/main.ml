@@ -684,12 +684,14 @@ let e13_faults () =
       match proto with
       | `Bfs ->
         let tree = X.Reliable.bfs_tree net ~root:(X.Vertex.local 0) in
-        (tree.X.Primitives.depth = truth, "bfs-reliable")
+        (tree.X.Primitives.depth = truth, X.Rounds.Bfs_reliable)
       | `Leader ->
         let leaders = X.Reliable.elect_leader net in
-        (Array.for_all (fun l -> l = 0) leaders, "leader-reliable")
+        (Array.for_all (fun l -> l = 0) leaders, X.Rounds.Leader_reliable)
     in
-    let rounds = try List.assoc label (X.Rounds.by_phase ledger) with Not_found -> 0 in
+    let rounds =
+      try List.assoc (X.Rounds.Executed label) (X.Rounds.phases ledger) with Not_found -> 0
+    in
     let msgs = X.Network.messages_sent net in
     let words = X.Network.words_sent net in
     let drops, dups =

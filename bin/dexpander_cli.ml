@@ -18,9 +18,10 @@
    ([describe]) before the subcommand runs.
 
    Values are checked at parse time, in the theorems' domains: -k,
-   --attempts, --retries and --parts at least 1; --epsilon and --beta
-   in (0,1); --phi in (0,1/12]; -p, --p-in, --p-out, --drop and --dup
-   in [0,1]; --degree below -n for --family regular (with n·d even)
+   --attempts, --retries, --parts and --word-size at least 1;
+   --epsilon and --beta in (0,1); --phi in (0,1/12]; -p, --p-in,
+   --p-out, --drop and --dup in [0,1]; --degree at least 1 for
+   --family powerlaw, below -n for --family regular (with n·d even)
    and below each half of -n for --family dumbbell. Anything else is a
    usage error (exit 124). The linter has its own front end,
    tools/lint/dex_lint.exe. *)
@@ -94,13 +95,15 @@ let make_graph family file n seed p parts p_in p_out degree =
   describe g;
   g
 
-(* the degree's preconditions, which depend on -n too and so are past
-   any one option's converter: a random d-regular graph on n vertices
-   needs 0 <= d < n and n·d even; the dumbbell's halves are made even
-   where n·d is odd *)
+(* the degree's preconditions, which depend on the family and -n too
+   and so are past any one option's converter: a Chung–Lu graph with a
+   non-positive average degree draws no edge; a random d-regular graph
+   on n vertices needs 0 <= d < n and n·d even; the dumbbell's halves
+   are made even where n·d is odd *)
 let degree_error family n d =
   let regular_ok n = 0 <= d && d < n in
   match family with
+  | `Powerlaw when d < 1 -> Some "--degree: expected a positive average degree for --family powerlaw"
   | `Regular when not (regular_ok n) -> Some "--degree: expected 0 <= d < n for --family regular"
   | `Regular when n * d mod 2 <> 0 -> Some "--degree: expected n*d even for --family regular"
   | `Dumbbell ->
@@ -279,9 +282,9 @@ let faults_cmd =
       let net = X.Network.create ?faults g ledger in
       let tree = X.Reliable.bfs_tree ~config net ~root:(X.Vertex.local 0) in
       let leaders = X.Reliable.elect_leader ~config net in
-      let phases = X.Rounds.by_phase ledger in
-      let rounds label = try List.assoc label phases with Not_found -> 0 in
-      (rounds "bfs-reliable", rounds "leader-reliable", X.Network.messages_sent net,
+      let phases = X.Rounds.phases ledger in
+      let rounds label = try List.assoc (X.Rounds.Executed label) phases with Not_found -> 0 in
+      (rounds X.Rounds.Bfs_reliable, rounds X.Rounds.Leader_reliable, X.Network.messages_sent net,
        tree, leaders)
     in
     let br0, lr0, m0, tree0, _ = exec None in
@@ -294,7 +297,7 @@ let faults_cmd =
         Printf.printf
           "FAILED: %s gave up on edge %d->%d after %d retransmissions \
            (dropped=%d duplicated=%d) — raise --retries or lower --drop\n"
-          label vertex neighbor attempts
+          (X.Rounds.name (Executed label)) vertex neighbor attempts
           (X.Faults.drops faults) (X.Faults.duplicates faults);
         exit 1
     in
@@ -323,7 +326,7 @@ let throughput_cmd =
        depth+1 and re-flood on improvement *)
     let net = X.Network.create g (X.Rounds.create ()) in
     let flood () =
-      X.Network.run_active net ~label:"throughput"
+      X.Network.run_active net ~label:X.Rounds.Bfs
         ~init:(fun v -> if v = 0 then 0 else max_int lsr 2)
         ~step:(fun ~round ~vertex:v d ib ob ->
           let vi = X.Vertex.local_int v in
@@ -442,9 +445,18 @@ let trace_cmd =
         (fun ((u, v), load) -> Printf.printf "  (%d,%d)  %d\n" u v load)
         edges);
     Printf.printf "\nper-phase rounds (flat):\n";
+    let executed = ref 0 and modelled = ref 0 in
     List.iter
-      (fun (label, rounds) -> Printf.printf "  %-24s %d\n" label rounds)
-      (X.Rounds.by_phase ledger);
+      (fun (label, rounds) ->
+        let kind, sum =
+          match label with
+          | X.Rounds.Executed _ -> ("executed", executed)
+          | X.Rounds.Modelled _ -> ("modelled", modelled)
+        in
+        sum := !sum + rounds;
+        Printf.printf "  %-24s %-9s %d\n" (X.Rounds.name label) kind rounds)
+      (X.Rounds.phases ledger);
+    Printf.printf "  executed=%d modelled=%d\n" !executed !modelled;
     Printf.printf
       "\ntrace: events=%d retained=%d dropped=%d messages=%d words=%d faults=%d retries=%d\n"
       (X.Trace.emitted trace)
@@ -465,7 +477,7 @@ let trace_cmd =
 
 let conformance_cmd =
   let word_size_t =
-    Arg.(value & opt int 1 & info [ "word-size" ] ~docv:"W" ~doc:"Per-message word budget.")
+    Arg.(value & opt pos_int 1 & info [ "word-size" ] ~docv:"W" ~doc:"Per-message word budget, at least 1.")
   in
   let demo_race_t =
     Arg.(

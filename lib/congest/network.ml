@@ -9,7 +9,7 @@ type packed_states = Packed : 'a array -> packed_states
 
 exception
   Round_limit_exceeded of {
-    label : string;
+    label : Rounds.executed;
     max_rounds : int;
     executed : int;
     states : packed_states;
@@ -72,10 +72,6 @@ let rounds t = t.ledger
 let faults t = t.faults
 let vertex_map t = t.vertex_map
 let executor _ = Staged
-let charge t ~label k = Rounds.charge t.ledger ~label k
-
-let top_edges t k = match t.trace with Some tr -> Trace.top_edges tr k | None -> []
-
 (* [orig t v] reports [v] in original-graph coordinates: violation
    messages raised from deep inside a recursive decomposition must name
    the vertex of the instance the caller actually built. *)
@@ -215,15 +211,15 @@ let run_active t ~label ~init ~step ?(max_rounds = 1_000_000) ?on_round () =
   if not quiescent then begin
     (* the rounds really elapsed: charge them before raising so the
        ledger stays truthful on failure *)
-    Rounds.charge t.ledger ~label max_rounds;
+    Rounds.charge_executed t.ledger ~label max_rounds;
     raise
       (Round_limit_exceeded
          { label; max_rounds; executed = max_rounds; states = Packed states })
   end;
-  Rounds.charge t.ledger ~label rounds;
+  Rounds.charge_executed t.ledger ~label rounds;
   (states, rounds)
 
 let run_for t ~label ~init ~step ?on_round horizon =
   let states, _, _ = drive t ~init ~step ~last:horizon ?on_round () in
-  Rounds.charge t.ledger ~label horizon;
+  Rounds.charge_executed t.ledger ~label horizon;
   states

@@ -50,7 +50,7 @@ type packed_states = Packed : 'a array -> packed_states
     ledger when this is raised. *)
 exception
   Round_limit_exceeded of {
-    label : string;
+    label : Rounds.executed;
     max_rounds : int;
     executed : int;
     states : packed_states;
@@ -97,14 +97,6 @@ val faults : t -> Faults.t option
     network simulates an induced subgraph of a larger instance. *)
 val vertex_map : t -> Dex_graph.Vertex.Map.t option
 
-(** [top_edges t k] is the [k] most-loaded edges (original-graph
-    coordinates, cumulative deliveries, descending) from the attached
-    trace's histogram; [[]] when no trace is attached. Note the
-    histogram belongs to the trace, so it aggregates across every
-    network sharing it — which is exactly what hot-edge reporting over
-    a recursive decomposition wants. *)
-val top_edges : t -> int -> ((int * int) * int) list
-
 (** A message is an int array of at most [word_size] words. *)
 type message = int array
 
@@ -146,7 +138,7 @@ type 's active_step =
     lazily on first use and reused across runs on the same network. *)
 val run_active :
   t ->
-  label:string ->
+  label:Rounds.executed ->
   init:(int -> 's) ->
   step:'s active_step ->
   ?max_rounds:int ->
@@ -160,16 +152,12 @@ val run_active :
     and counted but never read; timers past the horizon never fire. *)
 val run_for :
   t ->
-  label:string ->
+  label:Rounds.executed ->
   init:(int -> 's) ->
   step:'s active_step ->
   ?on_round:(int -> 's array -> unit) ->
   int ->
   's array
-
-(** [charge t ~label k] charges [k] rounds for an accounted (not
-    message-level executed) protocol phase. *)
-val charge : t -> label:string -> int -> unit
 
 (** [rounds t] is the ledger. *)
 val rounds : t -> Rounds.t

@@ -44,7 +44,7 @@ let bfs_tree net ~root =
   (* active-set quiescence: the wave visits each vertex once, and a
      vertex that receives without improving sends nothing, so the run
      ends once no message is in flight *)
-  let states, _rounds = Network.run_active net ~label:"bfs" ~init ~step () in
+  let states, _rounds = Network.run_active net ~label:Bfs ~init ~step () in
   let parent = Array.map (fun st -> st.par) states in
   let depth = Array.map (fun st -> st.dist) states in
   let height = Array.fold_left (fun acc d -> if d = max_int then acc else max acc d) 0 depth in
@@ -75,22 +75,22 @@ let elect_leader net =
   in
   (* a vertex re-announces only when its view improves, so active-set
      quiescence means the minimum has flooded each component *)
-  let states, _ = Network.run_active net ~label:"leader" ~init ~step () in
+  let states, _ = Network.run_active net ~label:Leader ~init ~step () in
   Array.map (fun st -> st.best) states
 
-let broadcast net tree ~label = Network.charge net ~label tree.height
+let broadcast net tree ~label = Rounds.charge (Network.rounds net) ~label tree.height
 
 let convergecast_sum net tree ~label values =
-  Network.charge net ~label tree.height;
+  Rounds.charge (Network.rounds net) ~label tree.height;
   Array.fold_left (fun acc v -> acc + values.(v)) 0 tree.members
 
 let convergecast_min net tree ~label values =
-  Network.charge net ~label tree.height;
+  Rounds.charge (Network.rounds net) ~label tree.height;
   Array.fold_left (fun acc v -> min acc values.(v)) max_int tree.members
 
 let pipelined_broadcast net tree ~label ~words =
   Invariant.require (words >= 0) ~where:"Primitives.pipelined_broadcast" "negative words";
-  Network.charge net ~label (tree.height + words)
+  Rounds.charge (Network.rounds net) ~label (tree.height + words)
 
 let subnetwork net members =
   let g = Network.graph net in

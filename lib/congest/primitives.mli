@@ -16,33 +16,33 @@ type tree = {
 }
 
 (** [bfs_tree net ~root] floods from [root] (executed protocol;
-    rounds measured and charged under ["bfs"]). [root] is a vertex of
+    rounds measured and charged under {!Rounds.Bfs}). [root] is a vertex of
     {e this} network's coordinate space ({!Dex_graph.Vertex.local}). *)
 val bfs_tree : Network.t -> root:Dex_graph.Vertex.local -> tree
 
 (** [elect_leader net] floods minimum vertex id (executed protocol,
-    charged under ["leader"]); returns per-vertex leader array —
+    charged under {!Rounds.Leader}); returns per-vertex leader array —
     one leader per connected component. *)
 val elect_leader : Network.t -> int array
 
 (** [broadcast net tree ~label] charges the cost of sending one
     O(log n)-bit value from the root to all members: [tree.height]
     rounds. *)
-val broadcast : Network.t -> tree -> label:string -> unit
+val broadcast : Network.t -> tree -> label:Rounds.modelled -> unit
 
 (** [convergecast_sum net tree ~label values] charges [tree.height]
     rounds and returns the sum of [values] over the tree members —
     the standard aggregation used by the paper's implementation
     lemmas (Lemma 9's volume queries, Lemma 10's token counts). *)
-val convergecast_sum : Network.t -> tree -> label:string -> int array -> int
+val convergecast_sum : Network.t -> tree -> label:Rounds.modelled -> int array -> int
 
 (** [convergecast_min net tree ~label values] as above with min. *)
-val convergecast_min : Network.t -> tree -> label:string -> int array -> int
+val convergecast_min : Network.t -> tree -> label:Rounds.modelled -> int array -> int
 
 (** [pipelined_broadcast net tree ~label ~words] charges
     [tree.height + words] rounds — k values broadcast down a tree
     pipeline in height + k rounds. *)
-val pipelined_broadcast : Network.t -> tree -> label:string -> words:int -> unit
+val pipelined_broadcast : Network.t -> tree -> label:Rounds.modelled -> words:int -> unit
 
 (** [subnetwork net members] is a network on the induced subgraph
     [G\[members\]] sharing [net]'s ledger; returns the new network and

@@ -7,7 +7,7 @@ let default_config = { max_retries = 64; give_up = false }
 
 exception
   Delivery_failed of {
-    label : string;
+    label : Rounds.executed;
     vertex : int;
     neighbor : int;
     value : int;
@@ -160,7 +160,7 @@ let bfs_tree ?(config = default_config) ?max_rounds net ~root =
   let n = Graph.num_vertices g in
   Invariant.require (root >= 0 && root < n) ~where:"Reliable.bfs_tree" "root out of range";
   let states, _rounds =
-    flood net ~label:"bfs-reliable" ~config ~delta:1
+    flood net ~label:Bfs_reliable ~config ~delta:1
       ~init_value:(fun v -> if v = root then 0 else infinity_value)
       ~init_parent:(fun v -> if v = root then root else -1)
       ~announce:(fun v -> v = root)
@@ -182,7 +182,7 @@ let bfs_tree ?(config = default_config) ?max_rounds net ~root =
 
 let elect_leader ?(config = default_config) ?max_rounds net =
   let states, _rounds =
-    flood net ~label:"leader-reliable" ~config ~delta:0
+    flood net ~label:Leader_reliable ~config ~delta:0
       ~init_value:(fun v -> v)
       ~init_parent:(fun v -> v)
       ~announce:(fun _ -> true)

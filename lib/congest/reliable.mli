@@ -15,8 +15,8 @@
       discipline is respected without widening the word budget.
 
     The extra rounds a lossy run needs are charged honestly to the
-    network's ledger under the protocol's label ("bfs-reliable",
-    "leader-reliable") — the overhead versus {!Primitives} is exactly
+    network's ledger under the protocol's label ({!Rounds.Bfs_reliable},
+    {!Rounds.Leader_reliable}) — the overhead versus {!Primitives} is exactly
     the measured price of reliability.
 
     On retry exhaustion the behaviour is configurable: with
@@ -40,7 +40,7 @@ val default_config : config
     [give_up = false]. *)
 exception
   Delivery_failed of {
-    label : string;
+    label : Rounds.executed;
     vertex : int;
     neighbor : int;
     value : int;
@@ -54,14 +54,14 @@ val value_limit : int
     with reliable delivery: distances adopt monotonically, every
     improvement is re-announced until acknowledged, so the final
     depths equal true BFS distances under arbitrary message loss
-    (rounds charged under ["bfs-reliable"]). Vertices unreachable
+    (rounds charged under {!Rounds.Bfs_reliable}). Vertices unreachable
     through surviving edges keep depth [max_int]. *)
 val bfs_tree :
   ?config:config -> ?max_rounds:int -> Network.t -> root:Dex_graph.Vertex.local ->
   Primitives.tree
 
 (** [elect_leader ?config ?max_rounds net] floods the minimum vertex id
-    with reliable delivery (charged under ["leader-reliable"]);
+    with reliable delivery (charged under {!Rounds.Leader_reliable});
     returns the per-vertex leader array, one leader per connected
     component of the surviving network. *)
 val elect_leader : ?config:config -> ?max_rounds:int -> Network.t -> int array

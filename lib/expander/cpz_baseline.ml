@@ -117,7 +117,7 @@ let run ?(preset = Params.Practical) ~delta ~epsilon g rng =
         else begin
           removed := !removed + Metrics.cut_size sub cut;
           let cut_orig = Vertex.Map.translate (Vertex.Map.of_array mapping) cut in
-          Array.sort compare cut_orig;
+          Array.sort Int.compare cut_orig;
           let rest = Metrics.set_difference members cut_orig in
           Queue.add cut_orig work;
           Queue.add rest work
@@ -126,7 +126,7 @@ let run ?(preset = Params.Practical) ~delta ~epsilon g rng =
     end
   done;
   let leftover_arr = Array.of_list !leftover in
-  Array.sort compare leftover_arr;
+  Array.sort Int.compare leftover_arr;
   let leftover_edges =
     let mask = Metrics.mask_of g leftover_arr in
     let c = ref 0 in

@@ -81,7 +81,7 @@ let sparse_cut_on d ~phi members =
     end
     else begin
       let original = Vertex.Map.translate (Vertex.Map.of_array mapping) cut in
-      Array.sort compare original;
+      Array.sort Int.compare original;
       (* conductance is min-side normalized, so the returned set may be
          the large side of the cut; the removal/recursion logic always
          wants the smaller-volume side *)

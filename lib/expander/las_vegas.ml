@@ -24,7 +24,7 @@ let decompose ?preset ?ledger ?(attempts = 5) ~epsilon ~k g rng =
   let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   let outcome, used, total_rounds =
     Rounds.with_span ledger "las-vegas" @@ fun () ->
-    Rounds.retry ledger ~label:"decompose" ~attempts (fun i ->
+    Rounds.retry ledger ~loop:Decompose ~attempts (fun i ->
         (* fresh randomness per attempt: split both the algorithm's
            stream and the verifier's, so a failed attempt never replays *)
         let attempt_rng = Rng.split rng i in

@@ -46,7 +46,7 @@ let trim g members =
     end
   done;
   let core = Array.of_list (List.filter (fun v -> in_set.(v)) (Array.to_list members)) in
-  Array.sort compare core;
+  Array.sort Int.compare core;
   { core;
     pruned = Array.of_list (List.rev !removed_order);
     pruned_volume = !pruned_volume;

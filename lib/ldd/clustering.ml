@@ -60,7 +60,7 @@ let run net ~beta rng =
   in
   (* every start epoch is <= horizon, so every vertex has clustered by
      round horizon *)
-  let states = Network.run_for net ~label:"mpx-clustering" ~init ~step horizon in
+  let states = Network.run_for net ~label:Mpx_clustering ~init ~step horizon in
   let cluster = Array.map (fun st -> st.cluster) states in
   Array.iteri
     (fun v c ->

@@ -19,7 +19,7 @@ let run ?ka ?kb net ~beta rng =
   let msgs_before = Network.messages_sent net in
   let words_before = Network.words_sent net in
   let refine = Refine.run ?ka ?kb g ~beta in
-  Network.charge net ~label:"ldd-refine" refine.Refine.rounds;
+  Rounds.charge ledger ~label:Ldd_refine refine.Refine.rounds;
   let clustering = Clustering.run net ~beta rng in
   (* keep inter-cluster edges whose endpoints are both deep in V_D *)
   let cut = ref [] in

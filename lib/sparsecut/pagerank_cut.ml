@@ -18,35 +18,29 @@ let approximate_pagerank ?(alpha = 0.1) ?eps g ~src =
   let m = max 1 (Graph.num_edges g) in
   let eps = match eps with Some e -> e | None -> 1.0 /. (20.0 *. float_of_int m) in
   Invariant.require (eps > 0.0) ~where:"Pagerank_cut.approximate_pagerank" "eps > 0";
-  let p = Hashtbl.create 64 in
-  let r = Hashtbl.create 64 in
-  Hashtbl.replace r src 1.0;
-  let get tbl v = try Hashtbl.find tbl v with Not_found -> 0.0 in
-  let add tbl v x = Hashtbl.replace tbl v (get tbl v +. x) in
+  let n = Graph.num_vertices g in
+  let p = Array.make n 0.0 and r = Array.make n 0.0 in
+  r.(src) <- 1.0;
+  let add a v x = a.(v) <- a.(v) +. x in
   (* work queue of vertices that may violate r(v) < eps·deg(v) *)
   let queue = Queue.create () in
-  let queued = Hashtbl.create 64 in
-  let enqueue v =
-    if not (Hashtbl.mem queued v) then begin
-      Hashtbl.replace queued v ();
-      Queue.add v queue
-    end
-  in
+  let queued = Array.make n false in
+  let enqueue v = if not queued.(v) then (queued.(v) <- true; Queue.add v queue) in
   enqueue src;
   let pushes = ref 0 in
   let push_limit = 64 * m in
   while (not (Queue.is_empty queue)) && !pushes < push_limit do
     let v = Queue.take queue in
-    Hashtbl.remove queued v;
+    queued.(v) <- false;
     let deg = float_of_int (Graph.degree g v) in
-    let rv = get r v in
+    let rv = r.(v) in
     if deg > 0.0 && rv >= eps *. deg then begin
       incr pushes;
       (* lazy ACL push: p += alpha·r(v); half of the rest stays, half
          spreads over incident edges (self-loops included) *)
       add p v (alpha *. rv);
       let rest = (1.0 -. alpha) *. rv in
-      Hashtbl.replace r v (rest /. 2.0);
+      r.(v) <- rest /. 2.0;
       let share = rest /. 2.0 /. deg in
       (* the self-loop share also stays home *)
       if Graph.self_loops g v > 0 then
@@ -54,19 +48,19 @@ let approximate_pagerank ?(alpha = 0.1) ?eps g ~src =
       Graph.iter_neighbors g v (fun u ->
           add r u share;
           let du = float_of_int (Graph.degree g u) in
-          if du > 0.0 && get r u >= eps *. du then enqueue u);
-      let dv = float_of_int (Graph.degree g v) in
-      if get r v >= eps *. dv then enqueue v
+          if du > 0.0 && r.(u) >= eps *. du then enqueue u);
+      if r.(v) >= eps *. deg then enqueue v
     end
   done;
   (p, r, !pushes)
 
 let run ?alpha ?eps g ~src =
   let p, _r, pushes = approximate_pagerank ?alpha ?eps g ~src in
-  if Hashtbl.length p = 0 then None
+  (* every pushed vertex holds positive mass, and only those do *)
+  let ids = Array.of_seq (Seq.filter (fun v -> p.(v) > 0.0) (Seq.init (Array.length p) Fun.id)) in
+  if Array.length ids = 0 then None
   else begin
-    let ids = Array.of_list (Dex_util.Table.keys_sorted ~compare:Int.compare p) in
-    let p = Walk.of_sorted ~ids ~mass:(Array.map (Hashtbl.find p) ids) in
+    let p = Walk.of_sorted ~ids ~mass:(Array.map (Array.get p) ids) in
     match Sweep.best_cut g p with
     | None -> None
     | Some (sweep, j) ->

@@ -29,8 +29,9 @@ type t = {
 val run : ?alpha:float -> ?eps:float -> Dex_graph.Graph.t -> src:int -> t option
 
 (** [approximate_pagerank ?alpha ?eps g ~src] exposes the raw (p, r)
-    pair for tests: p underestimates the true PageRank and every
-    residual obeys r(v) < ε·deg(v) on return. *)
+    pair for tests, as dense arrays indexed by vertex, and the number
+    of pushes: p underestimates the true PageRank and every residual
+    obeys r(v) < ε·deg(v) on return. *)
 val approximate_pagerank :
   ?alpha:float -> ?eps:float -> Dex_graph.Graph.t -> src:int ->
-  (int, float) Hashtbl.t * (int, float) Hashtbl.t * int
+  float array * float array * int

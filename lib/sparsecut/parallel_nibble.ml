@@ -85,9 +85,9 @@ let run ?k ?ledger params g rng =
     (match ledger with
     | Some l ->
       let module Rounds = Dex_congest.Rounds in
-      Rounds.charge l ~label:"nibble-generate" gen_rounds;
-      Rounds.charge l ~label:"nibble-execute" execute_rounds;
-      Rounds.charge l ~label:"nibble-select" select_rounds
+      Rounds.charge l ~label:Nibble_generate gen_rounds;
+      Rounds.charge l ~label:Nibble_execute execute_rounds;
+      Rounds.charge l ~label:Nibble_select select_rounds
     | None -> ());
     if aborted then
       { cut = [||]; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }

@@ -26,8 +26,9 @@ val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.ou
 (** [run ?k ?ledger params g rng] is ParallelNibble(G, φ); [k]
     overrides the number of copies (tests use this to force overlap).
     When [ledger] is given the accounted cost is also charged there,
-    split into its Lemma 10 components under the labels
-    ["nibble-generate"], ["nibble-execute"] and ["nibble-select"]. *)
+    split into its Lemma 10 components under the modelled labels
+    [Nibble_generate], [Nibble_execute] and [Nibble_select] of
+    {!Dex_congest.Rounds}. *)
 val run :
   ?k:int -> ?ledger:Dex_congest.Rounds.t ->
   Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t

@@ -110,7 +110,7 @@ let run_verified ?(attempts = 3) ?p ?ledger ~bound params g rng =
   let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   let best = ref None in
   let outcome, attempts, rounds_total =
-    Rounds.retry ledger ~label:"sparse-cut" ~attempts (fun i ->
+    Rounds.retry ledger ~loop:Sparse_cut ~attempts (fun i ->
         let r =
           Rounds.with_span ledger (Printf.sprintf "attempt-%d" i) @@ fun () ->
           run ?p ~ledger params g (Dex_util.Rng.split rng i)

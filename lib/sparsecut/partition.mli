@@ -27,8 +27,8 @@ type t = {
     the failure probability driving the iteration count (default 1/n²).
     The body runs inside a ["partition"] span of [ledger] (a private
     one when none is given) and the accounted ParallelNibble costs are
-    charged to it (labels
-    ["nibble-generate"/"nibble-execute"/"nibble-select"]); [rounds] is
+    charged to it (modelled labels [Nibble_generate], [Nibble_execute]
+    and [Nibble_select] of {!Dex_congest.Rounds}); [rounds] is
     the change in its makespan. *)
 val run :
   ?p:float -> ?ledger:Dex_congest.Rounds.t ->

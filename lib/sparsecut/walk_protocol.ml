@@ -49,6 +49,6 @@ let run net ~src ~eps ~steps =
       end
     end
   in
-  let states = Network.run_for net ~label:"walk-protocol" ~init ~step (steps + 1) in
+  let states = Network.run_for net ~label:Walk_protocol ~init ~step (steps + 1) in
   let ids = Dex_graph.Metrics.vertices_of_mask (Array.map (fun st -> st.mass > 0.0) states) in
   (Dex_spectral.Walk.of_sorted ~ids ~mass:(Array.map (fun v -> states.(v).mass) ids), steps + 1)

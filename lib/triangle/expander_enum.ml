@@ -100,8 +100,8 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
         end)
       decomp.Decomposition.parts;
     enumeration_rounds := !enumeration_rounds + !max_pre + !max_query;
-    Rounds.charge ledger ~label:"routing-preprocess" !max_pre;
-    Rounds.charge ledger ~label:"routing-query" !max_query;
+    Rounds.charge ledger ~label:Routing_preprocess !max_pre;
+    Rounds.charge ledger ~label:Routing_query !max_query;
     levels :=
       { level = !level;
         edges = Graph.num_plain_edges gcur;
@@ -122,7 +122,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       found := Exact.enumerate next :: !found;
       let cost = Baselines.trivial_rounds next in
       enumeration_rounds := !enumeration_rounds + cost;
-      Rounds.charge ledger ~label:"residual-trivial" cost;
+      Rounds.charge ledger ~label:Residual_trivial cost;
       continue := false
     end
     else current := next
@@ -144,7 +144,7 @@ let run_verified ?preset ?ledger ?epsilon ?k_decomp ?k_routing ?(attempts = 3) g
     "attempts must be >= 1";
   let ledger = match ledger with Some l -> l | None -> Rounds.create () in
   let outcome, attempts, rounds_total =
-    Rounds.retry ledger ~label:"triangles" ~attempts (fun i ->
+    Rounds.retry ledger ~loop:Triangles ~attempts (fun i ->
         let r = run ?preset ~ledger ?epsilon ?k_decomp ?k_routing g (Rng.split rng i) in
         (r, r.complete))
   in

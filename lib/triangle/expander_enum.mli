@@ -58,8 +58,9 @@ type result = {
     component. With a [ledger], the run sits in a ["triangles"] span
     with one ["level-<i>"] span per recursion level (each containing
     its decomposition's spans) and the accounted routing costs are
-    charged under ["routing-preprocess"]/["routing-query"] (and
-    ["residual-trivial"] for the fallback exchange). Raises
+    charged under the modelled labels [Routing_preprocess] and
+    [Routing_query] of {!Dex_congest.Rounds} (and [Residual_trivial]
+    for the fallback exchange). Raises
     [Dex_util.Invariant.Violation] when [g] has more than 2^20 vertices
     (see {!Exact.enumerate}). *)
 val run :

@@ -7,16 +7,12 @@
    rule D001). These helpers materialise the key set, sort it, and
    visit bindings in ascending key order. *)
 
-let keys_sorted ?(compare = Stdlib.compare) tbl =
+let fold_sorted ?(compare = Stdlib.compare) f tbl init =
   (* dex-lint: allow D001 the sorted-iteration helper itself *)
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  List.sort_uniq compare keys
+  let keys = List.sort_uniq compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
+  List.fold_left (fun acc k -> f k (Hashtbl.find tbl k) acc) init keys
 
-let iter_sorted ?compare f tbl =
-  List.iter (fun k -> f k (Hashtbl.find tbl k)) (keys_sorted ?compare tbl)
-
-let fold_sorted ?compare f tbl init =
-  List.fold_left (fun acc k -> f k (Hashtbl.find tbl k) acc) init (keys_sorted ?compare tbl)
+let iter_sorted ?compare f tbl = fold_sorted ?compare (fun k v () -> f k v) tbl ()
 
 (* ---------------- aligned text tables ---------------- *)
 

@@ -10,13 +10,9 @@
     accumulation. Algorithm libraries must use these instead (enforced
     by [dex_lint] rule D001). *)
 
-(** [keys_sorted ?compare tbl] is the distinct keys of [tbl] in
-    ascending order ([compare] defaults to the polymorphic compare —
-    fine for the int and int-pair keys used throughout). *)
-val keys_sorted : ?compare:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
-
 (** [iter_sorted ?compare f tbl] applies [f k v] in ascending key
-    order. For keys with multiple bindings only the most recent
+    order ([compare] defaults to the polymorphic compare — fine for
+    the int and int-pair keys used throughout). For keys with multiple bindings only the most recent
     binding is visited. *)
 val iter_sorted : ?compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
 

@@ -25,44 +25,100 @@ let fresh_net ?word_size g =
 let test_rounds_ledger () =
   let r = Rounds.create () in
   Alcotest.(check int) "empty" 0 (Rounds.total r);
-  Rounds.charge r ~label:"a" 3;
-  Rounds.charge r ~label:"b" 5;
-  Rounds.charge r ~label:"a" 2;
+  Rounds.charge r ~label:Ldd_refine 3;
+  Rounds.charge r ~label:Nibble_select 5;
+  Rounds.charge r ~label:Ldd_refine 2;
   Alcotest.(check int) "total" 10 (Rounds.total r);
   (* equal costs are ordered by label — deterministic across runs *)
-  Alcotest.(check (list (pair string int))) "by phase" [ ("a", 5); ("b", 5) ]
+  Alcotest.(check (list (pair string int))) "by phase"
+    [ ("ldd-refine", 5); ("nibble-select", 5) ]
     (Rounds.by_phase r);
-  Rounds.charge r ~label:"zz" 7;
-  Alcotest.(check (list (pair string int))) "by phase sorted" [ ("zz", 7); ("a", 5); ("b", 5) ]
+  Rounds.charge r ~label:Routing_query 7;
+  Alcotest.(check (list (pair string int))) "by phase sorted"
+    [ ("routing-query", 7); ("ldd-refine", 5); ("nibble-select", 5) ]
+    (Rounds.by_phase r);
+  (* one row per label, summed over its leaves in every span; a label
+     charged 0 rounds is still listed *)
+  Rounds.with_span r "phase1" (fun () ->
+      Rounds.charge r ~label:Ldd_refine 2;
+      Rounds.charge r ~label:Nibble_generate 0);
+  Alcotest.(check (list (pair string int))) "by phase over spans"
+    [ ("ldd-refine", 7); ("routing-query", 7); ("nibble-select", 5); ("nibble-generate", 0) ]
     (Rounds.by_phase r);
   Alcotest.check_raises "negative"
     (Dex_util.Invariant.Violation { where = "Rounds.charge"; what = "negative round count" })
-    (fun () -> Rounds.charge r ~label:"x" (-1))
+    (fun () -> Rounds.charge r ~label:Residual_trivial (-1))
+
+(* every label, from a match the compiler checks for exhaustiveness: a
+   new constructor fails the build until it is listed here *)
+let all_labels =
+  let next : Rounds.label -> Rounds.label option = function
+    | Executed Mpx_clustering -> Some (Executed Bfs)
+    | Executed Bfs -> Some (Executed Leader)
+    | Executed Leader -> Some (Executed Walk_protocol)
+    | Executed Walk_protocol -> Some (Executed Bfs_reliable)
+    | Executed Bfs_reliable -> Some (Executed Leader_reliable)
+    | Executed Leader_reliable -> Some (Modelled Ldd_refine)
+    | Modelled Ldd_refine -> Some (Modelled Nibble_generate)
+    | Modelled Nibble_generate -> Some (Modelled Nibble_execute)
+    | Modelled Nibble_execute -> Some (Modelled Nibble_select)
+    | Modelled Nibble_select -> Some (Modelled Routing_preprocess)
+    | Modelled Routing_preprocess -> Some (Modelled Routing_query)
+    | Modelled Routing_query -> Some (Modelled Residual_trivial)
+    | Modelled Residual_trivial -> None
+  in
+  let rec from l = l :: Option.fold ~none:[] ~some:from (next l) in
+  from (Executed Mpx_clustering)
+
+(* DESIGN.md §2's label table, as (name, "executed" | "modelled") *)
+let design_label_table () =
+  let ic = open_in_bin "../DESIGN.md" in
+  let lines = String.split_on_char '\n' (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let rec section inside = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"## " l ->
+      section (String.starts_with ~prefix:"## 2." l) rest
+    | l :: rest when inside && String.starts_with ~prefix:"| `" (String.trim l) -> (
+      match List.map String.trim (String.split_on_char '|' l) with
+      | _ :: name :: kind :: _ ->
+        (String.sub name 1 (String.length name - 2), kind) :: section inside rest
+      | _ -> section inside rest)
+    | _ :: rest -> section inside rest
+  in
+  section false lines
+
+let test_design_lists_labels () =
+  let kind = function Rounds.Executed _ -> "executed" | Rounds.Modelled _ -> "modelled" in
+  let sorted = List.sort compare in
+  Alcotest.(check (list (pair string string))) "DESIGN.md §2 rows = the label types"
+    (sorted (List.map (fun l -> (Rounds.name l, kind l)) all_labels))
+    (sorted (design_label_table ()))
 
 let test_makespan () =
   let r = Rounds.create () in
-  Rounds.charge r ~label:"a" 3;
-  Rounds.charge r ~label:"b" 4;
+  Rounds.charge r ~label:Ldd_refine 3;
+  Rounds.charge r ~label:Nibble_select 4;
   Alcotest.(check int) "sequential charges add" 7 (Rounds.makespan r);
-  Rounds.parallel r (fun k -> Rounds.charge r ~label:"p" k) [ 5; 9; 2 ];
+  Rounds.parallel r (fun k -> Rounds.charge r ~label:Nibble_execute k) [ 5; 9; 2 ];
   Alcotest.(check int) "branches join at their max" 16 (Rounds.makespan r);
   Alcotest.(check int) "total sums the branches" 23 (Rounds.total r);
   (* a branch that itself forks: 1 + max (2, 6) = 7 against a flat 4 *)
   Rounds.parallel r
     (function
       | `Fork ->
-        Rounds.charge r ~label:"q" 1;
-        Rounds.parallel r (fun k -> Rounds.charge r ~label:"q" k) [ 2; 6 ]
-      | `Flat -> Rounds.charge r ~label:"q" 4)
+        Rounds.charge r ~label:Routing_query 1;
+        Rounds.parallel r (fun k -> Rounds.charge r ~label:Routing_query k) [ 2; 6 ]
+      | `Flat -> Rounds.charge r ~label:Routing_query 4)
     [ `Fork; `Flat ];
   Alcotest.(check int) "nested parallel" 23 (Rounds.makespan r);
   Alcotest.(check int) "nested total" 36 (Rounds.total r);
-  Rounds.parallel r (fun k -> Rounds.charge r ~label:"z" k) [];
+  Rounds.parallel r (fun k -> Rounds.charge r ~label:Residual_trivial k) [];
   Alcotest.(check int) "empty list adds 0" 23 (Rounds.makespan r);
-  Rounds.charge r ~label:"a" 10;
+  Rounds.charge r ~label:Ldd_refine 10;
   Alcotest.(check int) "later charge continues from the max" 33 (Rounds.makespan r);
   Alcotest.(check (list (pair string int))) "by phase ignores the clock"
-    [ ("p", 16); ("a", 13); ("q", 13); ("b", 4) ]
+    [ ("nibble-execute", 16); ("ldd-refine", 13); ("routing-query", 13); ("nibble-select", 4) ]
     (Rounds.by_phase r)
 
 let test_retry () =
@@ -70,10 +126,10 @@ let test_retry () =
     let r = Rounds.create () in
     let tr = Trace.create () in
     Rounds.attach_trace r (Some tr);
-    Rounds.charge r ~label:"before" 100;
+    Rounds.charge r ~label:Ldd_refine 100;
     let outcome, used, rounds =
-      Rounds.retry r ~label:"probe" ~attempts (fun i ->
-          Rounds.charge r ~label:"attempt" (10 * i);
+      Rounds.retry r ~loop:Decompose ~attempts (fun i ->
+          Rounds.charge r ~label:Nibble_execute (10 * i);
           (i, i >= certify_at))
     in
     let events =
@@ -90,7 +146,7 @@ let test_retry () =
   Alcotest.(check int) "attempts used" 2 used;
   Alcotest.(check int) "makespan added" 30 rounds;
   Alcotest.(check (list (triple string int bool))) "one event per attempt"
-    [ ("probe", 1, false); ("probe", 2, true) ]
+    [ ("decompose", 1, false); ("decompose", 2, true) ]
     events;
   let outcome, used, rounds, events = run ~attempts:3 ~certify_at:9 in
   Alcotest.(check (result int int)) "budget exhausted: last value" (Error 3) outcome;
@@ -99,7 +155,7 @@ let test_retry () =
   Alcotest.(check int) "three events" 3 (List.length events);
   Alcotest.check_raises "attempts >= 1"
     (Invariant.Violation { where = "Rounds.retry"; what = "attempts must be >= 1" })
-    (fun () -> ignore (Rounds.retry (Rounds.create ()) ~label:"x" ~attempts:0 (fun i -> (i, true))))
+    (fun () -> ignore (Rounds.retry (Rounds.create ()) ~loop:Decompose ~attempts:0 (fun i -> (i, true))))
 
 (* ---------- message passing ---------- *)
 
@@ -121,7 +177,7 @@ let test_basic_exchange () =
       !best
     end
   in
-  let states = Network.run_for net ~label:"exchange" ~init:(fun _ -> -1) ~step 2 in
+  let states = Network.run_for net ~label:Leader ~init:(fun _ -> -1) ~step 2 in
   Alcotest.(check int) "vertex 0 saw 104" 104 states.(0);
   Alcotest.(check int) "vertex 2 saw 103" 103 states.(2);
   Alcotest.(check int) "messages" 10 (Network.messages_sent net);
@@ -136,7 +192,7 @@ let expect_congestion f =
 
 (* one round in which vertex 0 runs [send] on its outbox *)
 let one_round_from_0 net send =
-  Network.run_for net ~label:"bad"
+  Network.run_for net ~label:Bfs
     ~init:(fun _ -> ())
     ~step:(fun ~round:_ ~vertex st _ib ob ->
       if Vertex.local_int vertex = 0 then send ob;
@@ -169,7 +225,7 @@ let test_run_timeout () =
   let g = Gen.path 3 in
   let net = fresh_net g in
   match
-    Network.run_active net ~label:"never"
+    Network.run_active net ~label:Bfs
       ~init:(fun _ -> ())
       ~step:(fun ~round:_ ~vertex:_ st _ib ob ->
         Arena.Outbox.wake ob;
@@ -177,7 +233,7 @@ let test_run_timeout () =
       ~max_rounds:10 ()
   with
   | exception Network.Round_limit_exceeded { label; max_rounds; executed; states = _ } ->
-    Alcotest.(check string) "label" "never" label;
+    Alcotest.(check string) "label" "bfs" (Rounds.name (Executed label));
     Alcotest.(check int) "max_rounds" 10 max_rounds;
     Alcotest.(check int) "executed" 10 executed;
     (* the partial rounds were really executed: the ledger must say so *)
@@ -202,7 +258,7 @@ let sleeper_run () =
     end
     else st
   in
-  let states, rounds = Network.run_active net ~label:"sleeper" ~init:(fun _ -> []) ~step () in
+  let states, rounds = Network.run_active net ~label:Mpx_clustering ~init:(fun _ -> []) ~step () in
   (states, rounds, ledger, tr)
 
 let test_wake_at_fires_on_time () =
@@ -228,7 +284,7 @@ let test_wake_at_past_rejected () =
       if round = 1 then Arena.Outbox.wake ob else Arena.Outbox.wake_at ob ~round:target;
       st
     in
-    match Network.run_active net ~label:"past" ~init:(fun _ -> ()) ~step () with
+    match Network.run_active net ~label:Mpx_clustering ~init:(fun _ -> ()) ~step () with
     | exception Invariant.Violation { where; _ } ->
       Alcotest.(check string) "raised by wake_at" "Arena.Outbox.wake_at" where
     | _ -> Alcotest.fail (Printf.sprintf "wake_at ~round:%d in round 2 accepted" target)
@@ -249,7 +305,7 @@ let test_horizon_counts_last_round () =
           Arena.Outbox.send1 ob ~dst:(Vertex.local u) round);
     st
   in
-  let _ = Network.run_for net ~label:"last" ~init:(fun _ -> ()) ~step 3 in
+  let _ = Network.run_for net ~label:Mpx_clustering ~init:(fun _ -> ()) ~step 3 in
   Alcotest.(check int) "messages of round 3" 8 (Network.messages_sent net);
   Alcotest.(check int) "rounds charged" 3 (Rounds.total (Network.rounds net))
 
@@ -327,14 +383,14 @@ let test_convergecast () =
   let net = fresh_net g in
   let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
   let values = Array.init 8 (fun i -> i) in
-  Alcotest.(check int) "sum" 28 (Primitives.convergecast_sum net tree ~label:"sum" values);
-  Alcotest.(check int) "min" 0 (Primitives.convergecast_min net tree ~label:"min" values);
+  Alcotest.(check int) "sum" 28 (Primitives.convergecast_sum net tree ~label:Nibble_select values);
+  Alcotest.(check int) "min" 0 (Primitives.convergecast_min net tree ~label:Nibble_select values);
   let before = Rounds.total (Network.rounds net) in
-  Primitives.broadcast net tree ~label:"bcast";
+  Primitives.broadcast net tree ~label:Nibble_select;
   Alcotest.(check int) "broadcast cost" (before + tree.Primitives.height)
     (Rounds.total (Network.rounds net));
   let before = Rounds.total (Network.rounds net) in
-  Primitives.pipelined_broadcast net tree ~label:"pipe" ~words:5;
+  Primitives.pipelined_broadcast net tree ~label:Routing_query ~words:5;
   Alcotest.(check int) "pipelined cost" (before + tree.Primitives.height + 5)
     (Rounds.total (Network.rounds net))
 
@@ -347,7 +403,7 @@ let test_subnetwork () =
   Alcotest.(check int) "apply translates one id" (Vertex.orig_int (Vertex.orig 2))
     (Vertex.orig_int (Vertex.Map.apply mapping (Vertex.local 2)));
   (* shared ledger *)
-  Network.charge sub ~label:"x" 4;
+  Rounds.charge (Network.rounds sub) ~label:Ldd_refine 4;
   Alcotest.(check int) "ledger shared" 4 (Rounds.total (Network.rounds net))
 
 let test_subnetwork_violation_reports_original_id () =
@@ -382,7 +438,8 @@ let () =
     [ ( "ledger",
         [ Alcotest.test_case "rounds ledger" `Quick test_rounds_ledger;
           Alcotest.test_case "makespan and parallel" `Quick test_makespan;
-          Alcotest.test_case "retry" `Quick test_retry ] );
+          Alcotest.test_case "retry" `Quick test_retry;
+          Alcotest.test_case "DESIGN.md lists every label" `Quick test_design_lists_labels ] );
       ( "kernel",
         [ Alcotest.test_case "basic exchange" `Quick test_basic_exchange;
           Alcotest.test_case "rejects non-neighbor" `Quick test_rejects_non_neighbor;

@@ -202,7 +202,7 @@ let test_validation_precedes_faults () =
   let spec = Faults.lossy ~drop:1.0 ~seed:2 () in
   let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
   (match
-     Network.run_for net ~label:"bad"
+     Network.run_for net ~label:Bfs
        ~init:(fun _ -> ())
        ~step:(fun ~round:_ ~vertex st _ib ob ->
          if Vertex.local_int vertex = 0 then begin
@@ -226,7 +226,7 @@ let test_drop_everything_counts () =
           Arena.Outbox.send1 ob ~dst:(Vertex.local u) vertex);
     st
   in
-  let _ = Network.run_for net ~label:"flood" ~init:(fun _ -> 0) ~step 2 in
+  let _ = Network.run_for net ~label:Bfs ~init:(fun _ -> 0) ~step 2 in
   Alcotest.(check int) "all 10 sends dropped" 10 (Faults.drops faults);
   Alcotest.(check int) "nothing delivered" 0 (Network.messages_sent net)
 
@@ -239,7 +239,7 @@ let test_duplicates_counted () =
       Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 7;
     st
   in
-  let _ = Network.run_for net ~label:"dup" ~init:(fun _ -> 0) ~step 2 in
+  let _ = Network.run_for net ~label:Bfs ~init:(fun _ -> 0) ~step 2 in
   Alcotest.(check int) "one duplicate" 1 (Faults.duplicates faults);
   Alcotest.(check int) "delivered twice" 2 (Network.messages_sent net)
 

@@ -142,7 +142,7 @@ let bfs_runner g net on_round =
     if pending then send_all g v ob dist;
     (dist, par, false)
   in
-  Network.run_active net ~label:"bfs" ~init ~step ~on_round ()
+  Network.run_active net ~label:Bfs ~init ~step ~on_round ()
 
 let leader_runner g net on_round =
   let init v = (v, true) in
@@ -153,7 +153,7 @@ let leader_runner g net on_round =
     if !best < best0 || fresh then send_all g v ob !best;
     (!best, false)
   in
-  Network.run_active net ~label:"leader" ~init ~step ~on_round ()
+  Network.run_active net ~label:Leader ~init ~step ~on_round ()
 
 (* constant traffic for ten rounds, so drop/duplicate coins and the
    crash/link schedule all get exercised; every vertex wakes itself,
@@ -168,7 +168,7 @@ let gossip_runner g net on_round =
     Arena.Outbox.wake ob;
     !st
   in
-  (Network.run_for net ~label:"gossip" ~init ~step ~on_round 10, 10)
+  (Network.run_for net ~label:Leader ~init ~step ~on_round 10, 10)
 
 let gnp_graph seed = Generators.gnp (Rng.create seed) ~n:40 ~p:0.12
 
@@ -260,7 +260,7 @@ let test_arena_cursor_surface () =
     end
   in
   let states, rounds =
-    Network.run_active net ~label:"surface" ~init:(fun _ -> 0) ~step ()
+    Network.run_active net ~label:Bfs ~init:(fun _ -> 0) ~step ()
   in
   Alcotest.(check int) "two rounds to quiescence" 2 rounds;
   Array.iteri
@@ -283,7 +283,7 @@ let test_wake_keeps_vertex_active () =
     else st
   in
   let states, rounds =
-    Network.run_active net ~label:"wake" ~init:(fun _ -> 0) ~step ()
+    Network.run_active net ~label:Mpx_clustering ~init:(fun _ -> 0) ~step ()
   in
   Alcotest.(check int) "rounds" 4 rounds;
   Alcotest.(check int) "vertex 0 incremented through round 3" 3 states.(0);
@@ -298,7 +298,7 @@ let test_run_active_round_limit () =
     Arena.Outbox.wake ob;
     st
   in
-  match Network.run_active net ~label:"forever" ~init:(fun _ -> 0) ~step ~max_rounds:7 ()
+  match Network.run_active net ~label:Leader ~init:(fun _ -> 0) ~step ~max_rounds:7 ()
   with
   | exception Network.Round_limit_exceeded { executed; max_rounds; _ } ->
     Alcotest.(check int) "executed" 7 executed;
@@ -314,7 +314,7 @@ let test_cursor_congestion_violation () =
     if Vertex.local_int vertex = 0 then Arena.Outbox.send1 ob ~dst:(Vertex.local 3) 7;
     st
   in
-  match Network.run_active net ~label:"bad" ~init:(fun _ -> 0) ~step () with
+  match Network.run_active net ~label:Bfs ~init:(fun _ -> 0) ~step () with
   | exception Network.Congestion_violation msg ->
     Alcotest.(check string) "message" "vertex 0: 3 is not a neighbor" msg
   | _ -> Alcotest.fail "expected Congestion_violation"

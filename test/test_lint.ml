@@ -84,6 +84,7 @@ let test_d006_scoped_to_kernel () =
   check_rules "lib/spectral fires" [ "D006" ] (lint ~path:"lib/spectral/x.ml" src);
   check_rules "lib/sparsecut fires" [ "D006" ] (lint ~path:"lib/sparsecut/x.ml" src);
   check_rules "lib/triangle fires" [ "D006" ] (lint ~path:"lib/triangle/x.ml" src);
+  check_rules "lib/expander fires" [ "D006" ] (lint ~path:"lib/expander/x.ml" src);
   check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" src);
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" src)
 

@@ -190,7 +190,7 @@ let test_hot_edges_star () =
   Rounds.attach_trace ledger (Some tr);
   let net = Network.create g ledger in
   ignore
-    (Network.run_for net ~label:"star-pings"
+    (Network.run_for net ~label:Walk_protocol
        ~init:(fun v -> if v = 0 then 0 else (v mod 3) + 1)
        ~step:(fun ~round:_ ~vertex:v budget _ib ob ->
          let v = Vertex.local_int v in
@@ -213,8 +213,6 @@ let test_hot_edges_star () =
     "top-4"
     [ ((0, 2), 3); ((0, 5), 3); ((0, 1), 2); ((0, 4), 2) ]
     (Trace.top_edges tr 4);
-  Alcotest.(check (list (pair (pair int int) int)))
-    "network view agrees" (Trace.top_edges tr 4) (Network.top_edges net 4);
   Alcotest.(check int) "histogram is symmetric" (Trace.edge_load tr (0, 2))
     (Trace.edge_load tr (2, 0))
 
@@ -222,7 +220,7 @@ let test_hot_edges_star () =
 
 let flood net g rounds =
   ignore
-    (Network.run_for net ~label:"flood"
+    (Network.run_for net ~label:Bfs
        ~init:(fun v -> v land 1)
        ~step:(fun ~round:_ ~vertex:v st ib ob ->
          let v = Vertex.local_int v in

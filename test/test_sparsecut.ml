@@ -431,7 +431,7 @@ let test_ppr_invariants () =
   let p, r, pushes = Ppr.approximate_pagerank ~eps g ~src:5 in
   Alcotest.(check bool) "pushed" true (pushes > 0);
   (* termination invariant: every residual is below eps·deg *)
-  Hashtbl.iter
+  Array.iteri
     (fun v rv ->
       Alcotest.(check bool)
         (Printf.sprintf "residual at %d" v)
@@ -440,8 +440,7 @@ let test_ppr_invariants () =
     r;
   (* mass conservation: p + r sums to 1 *)
   let total =
-    Hashtbl.fold (fun _ x acc -> acc +. x) p 0.0
-    +. Hashtbl.fold (fun _ x acc -> acc +. x) r 0.0
+    Array.fold_left ( +. ) 0.0 p +. Array.fold_left ( +. ) 0.0 r
   in
   Alcotest.(check (float 1e-9)) "mass" 1.0 total
 

@@ -21,7 +21,7 @@ type finding = {
 let rules =
   [ ( "D001",
       "no Hashtbl.iter/fold/to_seq* (hash-order nondeterminism); use \
-       Dex_util.Table.iter_sorted / fold_sorted / keys_sorted" );
+       Dex_util.Table.iter_sorted / fold_sorted" );
     ( "D002",
       "no Random.* outside lib/util/rng.ml; thread a Dex_util.Rng.t \
        explicitly" );
@@ -38,8 +38,8 @@ let rules =
        compare explicit fields" );
     ( "D006",
       "no bare polymorphic [compare] passed to Array.sort / List.sort \
-       family in lib/graph, lib/congest, lib/spectral, lib/sparsecut or \
-       lib/triangle; use a monomorphic comparator (Int.compare, \
+       family in lib/graph, lib/congest, lib/spectral, lib/sparsecut, \
+       lib/triangle or lib/expander; use a monomorphic comparator (Int.compare, \
        String.compare, an explicit field comparator)" ) ]
 
 (* ---------------- path scoping ---------------- *)
@@ -96,14 +96,15 @@ let rule_applies ~all_rules segs rule =
     gated segs && not (under [ "lib"; "obs" ] segs) && not (under [ "bench" ] segs)
   | "D005" -> true
   | "D006" ->
-    (* the kernel's, the walks' and the triangle sets' hot paths: a
-       polymorphic-compare sort here costs a generic-compare dispatch
-       per element pair *)
+    (* the kernel's, the walks', the triangle sets' and the
+       decomposition's vertex sets: a polymorphic-compare sort here
+       costs a generic-compare dispatch per element pair *)
     under [ "lib"; "graph" ] segs
     || under [ "lib"; "congest" ] segs
     || under [ "lib"; "spectral" ] segs
     || under [ "lib"; "sparsecut" ] segs
     || under [ "lib"; "triangle" ] segs
+    || under [ "lib"; "expander" ] segs
   | _ -> false
 
 (* ---------------- suppression pragmas ---------------- *)
@@ -253,8 +254,7 @@ let collect ~path ~active src_ast =
               "Hashtbl.%s iterates in hash order; use Dex_util.Table.%s" fn
               (match fn with
                | "iter" -> "iter_sorted"
-               | "fold" -> "fold_sorted"
-               | _ -> "keys_sorted"))
+               | _ -> "fold_sorted"))
        | "Random" :: _ when on "D002" ->
          add e.pexp_loc "D002"
            "ambient Random.* breaks replayability; thread a Dex_util.Rng.t"
